@@ -1,11 +1,14 @@
 //! Property-based tests for the protocol building blocks, on the in-tree
 //! `check` harness.
 
+use realtor_core::community::MembershipTable;
 use realtor_core::config::{CandidatePolicy, ProtocolConfig};
 use realtor_core::help::{HelpController, HelpDecision, HelpMode};
 use realtor_core::pledge::{AvailabilityStore, Crossing, PledgePolicy};
+use realtor_core::{Action, Actions, DiscoveryProtocol, Help, LocalView, Message, Realtor};
 use realtor_simcore::prelude::*;
 use realtor_simcore::{prop_assert, prop_assert_eq, prop_assert_ne};
+use std::collections::BTreeMap;
 
 fn cfg() -> ProtocolConfig {
     ProtocolConfig::paper()
@@ -221,4 +224,171 @@ fn most_headroom_is_maximal() {
             Ok(())
         },
     );
+}
+
+const MEMBERSHIP_TTL: SimDuration = SimDuration::from_secs(10);
+
+/// One step of a membership-table script: `(kind, organizer, amount)`.
+///
+/// Kinds (mod 8): 0–2 refresh `organizer`; 3 refresh the previously
+/// refreshed organizer again at the same instant (a duplicated HELP);
+/// 4 leave `organizer`; 5 purge; 6 advance the clock by `amount` tenths
+/// of a second; 7 advance the clock to exactly `ttl` after `organizer`'s
+/// last refresh (`since == ttl`, still live), if that is not in the past.
+type MembershipOp = (u8, u8, u8);
+
+/// Run `ops` against a [`MembershipTable`] and a scan-based oracle, and
+/// compare every observable after every step.
+fn check_membership_script(ops: &[MembershipOp]) -> PropResult {
+    let ttl = MEMBERSHIP_TTL;
+    let mut table = MembershipTable::new(ttl);
+    let mut oracle: BTreeMap<usize, SimTime> = BTreeMap::new();
+    let mut joins = 0u64;
+    let mut now = SimTime::ZERO;
+    let mut last_org = 0usize;
+    let live_at = |oracle: &BTreeMap<usize, SimTime>, at: SimTime| -> Vec<usize> {
+        oracle
+            .iter()
+            .filter(|&(_, &t)| at.since(t) <= ttl)
+            .map(|(&org, _)| org)
+            .collect()
+    };
+    for (step, &(kind, org, amount)) in ops.iter().enumerate() {
+        let org = usize::from(org % 6);
+        match kind % 8 {
+            0..=3 => {
+                let org = if kind % 8 == 3 { last_org } else { org };
+                let expect_new = oracle.insert(org, now).is_none();
+                joins += u64::from(expect_new);
+                let got = table.refresh(org, now);
+                prop_assert_eq!(got, expect_new, "refresh({org}) at step {step}");
+                last_org = org;
+            }
+            4 => {
+                oracle.remove(&org);
+                table.leave(org);
+            }
+            5 => {
+                let before = oracle.len();
+                oracle.retain(|_, &mut t| now.since(t) <= ttl);
+                let got = table.purge_expired(now);
+                prop_assert_eq!(got, before - oracle.len(), "purge at step {step}");
+            }
+            6 => now += SimDuration::from_millis(100 * u64::from(amount)),
+            _ => {
+                let edge = oracle.get(&org).map_or(now + ttl, |&t| t + ttl);
+                now = now.max(edge);
+            }
+        }
+        // The count may be read at any time not before the last update.
+        for at in [now, now + ttl, now + ttl + SimDuration::from_ticks(1)] {
+            let live = live_at(&oracle, at);
+            prop_assert_eq!(table.count(at) as usize, live.len(), "count at step {step}");
+            prop_assert_eq!(table.current(at).collect::<Vec<_>>(), live);
+        }
+        for o in 0..6 {
+            let member = oracle.get(&o).is_some_and(|&t| now.since(t) <= ttl);
+            prop_assert_eq!(table.is_member(o, now), member, "is_member({o}) at step {step}");
+        }
+        prop_assert_eq!(table.lifetime_joins(), joins, "lifetime_joins at step {step}");
+    }
+    Ok(())
+}
+
+/// The incrementally maintained membership count equals a scan over the
+/// table for every sequence of refreshes, leaves, purges and clock moves.
+#[test]
+fn membership_count_matches_scan() {
+    forall(
+        "membership_count_matches_scan",
+        0xC04E07,
+        512,
+        |r| {
+            gen::vec(r, 1, 120, |r| {
+                (gen::u8_in(r, 0, 7), gen::u8_in(r, 0, 5), gen::u8_in(r, 0, 150))
+            })
+        },
+        |ops| check_membership_script(ops),
+    );
+}
+
+/// The edge cases the random scripts may miss, pinned one by one.
+#[test]
+fn membership_count_edge_cases() {
+    let churn = [(0, 1, 0), (0, 2, 0), (6, 0, 1)].repeat(40);
+    let scripts: &[(&str, &[MembershipOp])] = &[
+        ("repeated refresh at one instant", &[(0, 1, 0), (3, 0, 0), (3, 0, 0), (6, 0, 101)]),
+        (
+            "duplicated HELPs, the copy a little later",
+            &[(0, 1, 0), (0, 2, 0), (6, 0, 3), (0, 1, 0), (3, 0, 0), (6, 0, 98), (6, 0, 5)],
+        ),
+        ("refresh exactly at the TTL boundary", &[(0, 1, 0), (7, 1, 0), (0, 1, 0), (7, 1, 0)]),
+        ("leave a live entry", &[(0, 1, 0), (0, 2, 0), (4, 1, 0), (6, 0, 150)]),
+        (
+            "leave an expired entry",
+            &[(0, 1, 0), (6, 0, 101), (4, 1, 0), (0, 2, 0), (6, 0, 150)],
+        ),
+        ("leave and re-join at one instant", &[(0, 1, 0), (4, 1, 0), (0, 1, 0), (6, 0, 101)]),
+        (
+            "purge, then re-join",
+            &[(0, 1, 0), (0, 2, 0), (6, 0, 101), (5, 0, 0), (0, 1, 0), (6, 0, 101), (5, 0, 0)],
+        ),
+        (
+            "refreshing an expired, unpurged entry is not a join",
+            &[(0, 1, 0), (6, 0, 120), (0, 1, 0), (5, 0, 0), (0, 1, 0)],
+        ),
+        ("many refreshes of few organizers (queue compaction)", &churn),
+    ];
+    for (name, ops) in scripts {
+        if let Err(e) = check_membership_script(ops) {
+            panic!("{name}: {e}");
+        }
+    }
+}
+
+/// A REALTOR member that hears duplicated and delayed copies of HELP
+/// floods, as on a lossy channel, reports in each PLEDGE the number of
+/// distinct organizers it heard from within the membership TTL.
+#[test]
+fn pledge_community_count_survives_duplicate_helps() {
+    let cfg = cfg();
+    let ttl = cfg.membership_ttl;
+    let mut member = Realtor::new(9, cfg);
+    let mut heard: BTreeMap<usize, SimTime> = BTreeMap::new();
+    let help = |organizer| {
+        Message::Help(Help {
+            organizer,
+            member_count: 0,
+            urgency: 0.5,
+            relay_ttl: 0,
+        })
+    };
+    let copies = [
+        (0.0, 1),
+        (0.0, 1),
+        (0.2, 2),
+        (0.2, 1),
+        (0.7, 2),
+        (ttl.as_secs_f64(), 3),
+        (ttl.as_secs_f64() + 0.1, 3),
+        (ttl.as_secs_f64() + 0.2, 1),
+        (ttl.as_secs_f64() + 0.2, 1),
+        (2.0 * ttl.as_secs_f64() + 0.3, 4),
+    ];
+    for (at, organizer) in copies {
+        let now = SimTime::from_secs_f64(at);
+        heard.insert(organizer, now);
+        let mut out = Actions::new();
+        member.on_message(now, organizer, &help(organizer), LocalView::new(80.0, 100.0), &mut out);
+        let expected = heard.values().filter(|&&t| now.since(t) <= ttl).count() as u32;
+        let counts: Vec<u32> = out
+            .as_slice()
+            .iter()
+            .filter_map(|a| match a {
+                Action::Unicast(_, Message::Pledge(p)) => Some(p.community_count),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(counts, vec![expected], "HELP from {organizer} at {at} s");
+    }
 }

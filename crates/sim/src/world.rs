@@ -173,8 +173,10 @@ pub struct World {
     protos: Vec<Box<dyn DiscoveryProtocol>>,
     queues: Vec<realtor_node::WorkQueue>,
     drain_gen: Vec<u64>,
-    /// Scope of each node's floods (recipients, excluding the sender).
-    scopes: Vec<Vec<NodeId>>,
+    /// Explicit flood scope of each node (recipients, excluding the
+    /// sender), set only by [`World::set_scopes`]. `None` is the default
+    /// scope: every other node, in id order.
+    scopes: Option<Vec<Vec<NodeId>>>,
     window: Option<SimDuration>,
     current_window: WindowStat,
     result: SimResult,
@@ -252,17 +254,17 @@ impl World {
         scenario.chaos.validate(scenario.workload.horizon);
         let topo = scenario.topology.clone();
         let n = topo.node_count();
-        let routing = realtor_net::Routing::new(&topo);
+        // One all-pairs routing table: the fault state owns it, and the
+        // cost model and mean flood path read it before any fault exists.
+        let mut fault = FaultState::new(&topo);
+        let routing = fault.routing(&topo);
         let (unicast, flood) = scenario.cost.charges();
-        let cost = CostModel::new(&topo, &routing, unicast, flood);
+        let cost = CostModel::new(&topo, routing, unicast, flood);
         let mean_path = routing.mean_path_length();
         let protos: Vec<_> = (0..n).map(&mut *build).collect();
         let queues = vec![realtor_node::WorkQueue::new(scenario.capacity_secs); n];
-        let scopes = (0..n)
-            .map(|me| (0..n).filter(|&other| other != me).collect())
-            .collect();
         World {
-            fault: FaultState::new(&topo),
+            fault,
             topology: topo,
             cost,
             per_hop_latency: scenario.per_hop_latency,
@@ -278,7 +280,7 @@ impl World {
             protos,
             queues,
             drain_gen: vec![0; n],
-            scopes,
+            scopes: None,
             window: scenario.window,
             current_window: WindowStat::default(),
             result: SimResult {
@@ -383,7 +385,27 @@ impl World {
     /// Override the flood scope of every node (inter-community experiments).
     pub fn set_scopes(&mut self, scopes: Vec<Vec<NodeId>>) {
         assert_eq!(scopes.len(), self.topology.node_count());
-        self.scopes = scopes;
+        self.scopes = Some(scopes);
+    }
+
+    /// Number of recipients in `node`'s flood scope.
+    fn scope_len(&self, node: NodeId) -> usize {
+        match &self.scopes {
+            Some(scopes) => scopes[node].len(),
+            None => self.topology.node_count() - 1,
+        }
+    }
+
+    /// The `i`-th recipient of `node`'s flood scope. Indexing (rather than
+    /// an iterator borrowing `self`) lets the delivery loops call `&mut
+    /// self` methods between recipients.
+    #[inline]
+    fn scope_member(&self, node: NodeId, i: usize) -> NodeId {
+        match &self.scopes {
+            Some(scopes) => scopes[node][i],
+            // Every other node in id order: skip the sender's own id.
+            None => i + usize::from(i >= node),
+        }
     }
 
     /// Number of nodes.
@@ -434,9 +456,8 @@ impl World {
                         let alive = match scope_alive {
                             Some(n) => n,
                             None => {
-                                let n = 1 + self.scopes[node]
-                                    .iter()
-                                    .filter(|&&n| self.fault.is_alive(n))
+                                let n = 1 + (0..self.scope_len(node))
+                                    .filter(|&i| self.fault.is_alive(self.scope_member(node, i)))
                                     .count();
                                 scope_alive = Some(n);
                                 n
@@ -471,10 +492,10 @@ impl World {
                         // copies process in the same order the grouped event
                         // would have used.
                         let partitioned = self.fault.has_partition();
-                        // Index loop, not a clone of the scope vector: the
-                        // body needs `&mut self` for channel sampling.
-                        for ri in 0..self.scopes[node].len() {
-                            let to = self.scopes[node][ri];
+                        // Index loop: the body needs `&mut self` for
+                        // channel sampling.
+                        for ri in 0..self.scope_len(node) {
+                            let to = self.scope_member(node, ri);
                             if partitioned
                                 && !self.fault.routing(&self.topology).reachable(node, to)
                             {
@@ -1762,10 +1783,8 @@ impl Handler for World {
                 // order (deterministic). Under an active partition the flood
                 // dies at the cut: recipients across it never hear it.
                 let partitioned = self.fault.has_partition();
-                // Index loop instead of cloning the scope vector per flood
-                // (this runs once per FloodDeliver — the hottest event kind).
-                for ri in 0..self.scopes[from].len() {
-                    let to = self.scopes[from][ri];
+                for ri in 0..self.scope_len(from) {
+                    let to = self.scope_member(from, ri);
                     if !self.fault.is_alive(to) {
                         continue;
                     }

@@ -8,39 +8,43 @@
 # Steps:
 #   1. release build, all targets, offline
 #   2. full test suite, offline
-#   3. clippy (gated: skipped with a notice if the component is absent)
-#   4. bench smoke run -> results/bench_smoke.json, gated against the
+#   3. perfbench unit tests (perfbench/ is a workspace of its own)
+#   4. perfbench correctness smoke: mesh_scale (N = 1600) on the held-out
+#      seed must match its stored digests; the golden figures only pin
+#      5x5 meshes, so this is the bit-exactness check at scale
+#   5. clippy (gated: skipped with a notice if the component is absent)
+#   6. bench smoke run -> results/bench_smoke.json, gated against the
 #      committed results/bench_baseline.json: engine events/sec must not
 #      regress >25%, the deep-queue stress must stay >= 3x the
 #      BinaryHeap oracle, and the tracing-overhead gate must hold — a
 #      run traced at Info severity (the live-exposition configuration)
 #      must keep >= 0.70x the untraced events/sec (one retry absorbs
 #      shared-runner noise)
-#   5. quickstart determinism: two runs, byte-identical stdout
-#   6. lossy-chaos smoke: 10% datagram loss + node strike + link jamming;
+#   7. quickstart determinism: two runs, byte-identical stdout
+#   8. lossy-chaos smoke: 10% datagram loss + node strike + link jamming;
 #      asserts graceful degradation, determinism, and finite recovery
-#   7. failover smoke: failure detection + evacuation + crash recovery;
+#   9. failover smoke: failure detection + evacuation + crash recovery;
 #      asserts detection, re-homed checkpoints, landed evacuations and
 #      determinism, and emits results/failover_summary.csv
-#   8. trace smoke: traced Figure-5 cell -> results/trace_paper.jsonl;
+#  10. trace smoke: traced Figure-5 cell -> results/trace_paper.jsonl;
 #      the subcommand itself validates every JSON line, re-proves
 #      tracing-on == tracing-off, and reconciles registry vs SimResult
-#   9. analyze smoke: a traced failover cell -> results/trace_failover.jsonl,
+#  11. analyze smoke: a traced failover cell -> results/trace_failover.jsonl,
 #      piped through `experiments analyze`; the causal report must show
 #      a recovery critical path and zero lineage-incomplete admissions
-#  10. println guard: library code in crates/core, crates/sim,
+#  12. println guard: library code in crates/core, crates/sim,
 #      crates/agile, crates/runner and crates/workload must go through
 #      the trace layer, never stdout/stderr
-#  11. sweep smoke: the figures sweep at --jobs 1 and --jobs 2 must emit
+#  13. sweep smoke: the figures sweep at --jobs 1 and --jobs 2 must emit
 #      byte-identical CSV artifacts (the runner's determinism contract,
 #      end-to-end through the CLI), with wall-clock timings appended to
 #      results/bench_smoke.json and the jobs-2 run asserted no slower
 #      than serial (speedup >= 0.95, single-core jitter tolerance)
-#  12. churn smoke: the A16 continuous-churn cell at --jobs 1 and --jobs 2
+#  14. churn smoke: the A16 continuous-churn cell at --jobs 1 and --jobs 2
 #      must emit byte-identical churn_summary.csv (the subcommand itself
 #      asserts interruptions, recoveries and the task ledger); timings
 #      appended to results/bench_smoke.json
-#  13. cluster smoke: the A18 live-runtime survivability cell — a crash
+#  15. cluster smoke: the A18 live-runtime survivability cell — a crash
 #      wave mid-load on the thread-per-host cluster must be supervised
 #      back to the pre-kill admission rate with the ledger identity
 #      `interrupted == recovered + destroyed` intact, and the A14 JSONL
@@ -48,7 +52,7 @@
 #      The live exposition file results/cluster_metrics.prom is then
 #      linted against the Prometheus text format (every sample parses,
 #      every family carries # HELP and # TYPE headers)
-#  14. golden-figure re-check: the pinned paper-baseline cells must be
+#  16. golden-figure re-check: the pinned paper-baseline cells must be
 #      bit-exact with chaos code merged (chaos off = zero new events,
 #      and the tracing layer off = zero overhead and zero new events)
 
@@ -62,6 +66,21 @@ cargo build --release --workspace --all-targets --offline
 
 say "test (offline)"
 cargo test --workspace --offline --quiet
+
+say "perfbench unit tests (offline)"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
+say "perfbench correctness smoke (mesh_scale, N = 1600, stored digests)"
+smoke=$(cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+    --workload mesh_scale --seed 424242 --seconds 0 --trace 0) || {
+    printf '%s\n' "$smoke" | tail -5 >&2
+    echo "perfbench mesh_scale smoke exited nonzero" >&2
+    exit 1
+}
+case "$(printf '%s\n' "$smoke" | tail -1)" in
+    *'"correct": true'*) echo "perfbench smoke ok: mesh_scale digests match" ;;
+    *) echo "perfbench mesh_scale smoke did not report \"correct\": true" >&2; exit 1 ;;
+esac
 
 say "clippy"
 if cargo clippy --version >/dev/null 2>&1; then
