@@ -25,18 +25,26 @@ pub struct AdaptivePull {
     policy: PledgePolicy,
     store: AvailabilityStore,
     last_need_secs: f64,
+    nodes: usize,
 }
 
 impl AdaptivePull {
     /// Create an adaptive-pull instance for `me`.
     pub fn new(me: NodeId, cfg: ProtocolConfig) -> Self {
+        Self::with_id_capacity(me, cfg, 0)
+    }
+
+    /// Like [`new`](Self::new), for a world of `nodes` nodes: the per-node
+    /// tables are sized to the node ids once, on their first entry.
+    pub(crate) fn with_id_capacity(me: NodeId, cfg: ProtocolConfig, nodes: usize) -> Self {
         cfg.validate();
         AdaptivePull {
             me,
             help: HelpController::new(&cfg, HelpMode::Adaptive),
             policy: PledgePolicy::new(&cfg, 0.0),
-            store: AvailabilityStore::new(),
+            store: AvailabilityStore::with_id_capacity(nodes),
             last_need_secs: 0.0,
+            nodes,
             cfg,
         }
     }
@@ -157,7 +165,7 @@ impl DiscoveryProtocol for AdaptivePull {
     fn on_reset(&mut self, _now: SimTime) {
         self.help.reset();
         self.policy = PledgePolicy::new(&self.cfg, 0.0);
-        self.store = AvailabilityStore::new();
+        self.store = AvailabilityStore::with_id_capacity(self.nodes);
         self.last_need_secs = 0.0;
     }
 }

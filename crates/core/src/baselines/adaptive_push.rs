@@ -14,6 +14,7 @@ use crate::pledge::{AvailabilityStore, PledgePolicy};
 use crate::protocol::{Actions, DiscoveryProtocol, Introspection, LocalView, TimerToken};
 use realtor_net::NodeId;
 use realtor_simcore::SimTime;
+use std::sync::Arc;
 
 /// The adaptive-push baseline instance for one node.
 #[derive(Debug)]
@@ -22,7 +23,8 @@ pub struct AdaptivePush {
     cfg: ProtocolConfig,
     policy: PledgePolicy,
     store: AvailabilityStore,
-    peers: Vec<NodeId>,
+    /// Shared by every instance of a world: one list, not one per node.
+    peers: Arc<[NodeId]>,
     peer_capacity_secs: f64,
     last_need_secs: f64,
 }
@@ -32,12 +34,19 @@ impl AdaptivePush {
     ///
     /// `peers` is the overlay scope (everyone who would receive a flood);
     /// `peer_capacity_secs` seeds the optimistic initial record for each.
-    pub fn new(me: NodeId, cfg: ProtocolConfig, peers: Vec<NodeId>, peer_capacity_secs: f64) -> Self {
+    /// The store holds one record per peer, so it is sized to the peer
+    /// count up front rather than grown through the seeding.
+    pub fn new(
+        me: NodeId,
+        cfg: ProtocolConfig,
+        peers: Arc<[NodeId]>,
+        peer_capacity_secs: f64,
+    ) -> Self {
         cfg.validate();
         AdaptivePush {
             me,
             policy: PledgePolicy::new(&cfg, 0.0),
-            store: AvailabilityStore::new(),
+            store: AvailabilityStore::with_id_capacity(peers.len()),
             peers,
             peer_capacity_secs,
             last_need_secs: 0.0,
@@ -51,7 +60,7 @@ impl AdaptivePush {
     }
 
     fn seed_store(&mut self, now: SimTime) {
-        for &p in &self.peers {
+        for &p in self.peers.iter() {
             if p != self.me {
                 self.store.record(p, self.peer_capacity_secs, now);
             }
@@ -139,7 +148,7 @@ impl DiscoveryProtocol for AdaptivePush {
 
     fn on_reset(&mut self, now: SimTime) {
         self.policy = PledgePolicy::new(&self.cfg, 0.0);
-        self.store = AvailabilityStore::new();
+        self.store = AvailabilityStore::with_id_capacity(self.peers.len());
         self.seed_store(now);
         self.last_need_secs = 0.0;
     }

@@ -27,19 +27,27 @@ pub struct PurePull {
     store: AvailabilityStore,
     last_need_secs: f64,
     helped_count: u32,
+    nodes: usize,
 }
 
 impl PurePull {
     /// Create a pure-pull instance for `me`.
     pub fn new(me: NodeId, cfg: ProtocolConfig) -> Self {
+        Self::with_id_capacity(me, cfg, 0)
+    }
+
+    /// Like [`new`](Self::new), for a world of `nodes` nodes: the per-node
+    /// tables are sized to the node ids once, on their first entry.
+    pub(crate) fn with_id_capacity(me: NodeId, cfg: ProtocolConfig, nodes: usize) -> Self {
         cfg.validate();
         PurePull {
             me,
             help: HelpController::new(&cfg, HelpMode::Unlimited),
             policy: PledgePolicy::new(&cfg, 0.0),
-            store: AvailabilityStore::new(),
+            store: AvailabilityStore::with_id_capacity(nodes),
             last_need_secs: 0.0,
             helped_count: 0,
+            nodes,
             cfg,
         }
     }
@@ -146,7 +154,7 @@ impl DiscoveryProtocol for PurePull {
     fn on_reset(&mut self, _now: SimTime) {
         self.help.reset();
         self.policy = PledgePolicy::new(&self.cfg, 0.0);
-        self.store = AvailabilityStore::new();
+        self.store = AvailabilityStore::with_id_capacity(self.nodes);
         self.last_need_secs = 0.0;
         self.helped_count = 0;
     }

@@ -19,18 +19,26 @@ pub struct PurePush {
     /// Generation guard so resets invalidate in-flight ticks.
     epoch: u64,
     last_need_secs: f64,
+    nodes: usize,
 }
 
 impl PurePush {
     /// Create a pure-push instance for `me`.
     pub fn new(me: NodeId, cfg: ProtocolConfig) -> Self {
+        Self::with_id_capacity(me, cfg, 0)
+    }
+
+    /// Like [`new`](Self::new), for a world of `nodes` nodes: the per-node
+    /// tables are sized to the node ids once, on their first entry.
+    pub(crate) fn with_id_capacity(me: NodeId, cfg: ProtocolConfig, nodes: usize) -> Self {
         cfg.validate();
         PurePush {
             me,
             cfg,
-            store: AvailabilityStore::new(),
+            store: AvailabilityStore::with_id_capacity(nodes),
             epoch: 0,
             last_need_secs: 0.0,
+            nodes,
         }
     }
 
@@ -127,7 +135,7 @@ impl DiscoveryProtocol for PurePush {
     }
 
     fn on_reset(&mut self, _now: SimTime) {
-        self.store = AvailabilityStore::new();
+        self.store = AvailabilityStore::with_id_capacity(self.nodes);
         self.epoch += 1;
         self.last_need_secs = 0.0;
     }

@@ -50,7 +50,14 @@ pub struct MembershipTable {
 impl MembershipTable {
     /// Create a table whose memberships expire `ttl` after the last refresh.
     pub fn new(ttl: SimDuration) -> Self {
+        Self::with_id_capacity(ttl, 0)
+    }
+
+    /// Like [`new`](Self::new), for organizer ids below `nodes`: the
+    /// table is sized to them on its first refresh and never reallocates.
+    pub(crate) fn with_id_capacity(ttl: SimDuration, nodes: usize) -> Self {
         MembershipTable {
+            joined: IdMap::with_id_capacity(nodes),
             ttl,
             ..Default::default()
         }
@@ -214,8 +221,14 @@ impl OwnCommunity {
     /// Create with the given member-expiry TTL (a member that has not
     /// re-pledged within `ttl` "de facto leaves the community").
     pub fn new(ttl: SimDuration) -> Self {
+        Self::with_id_capacity(ttl, 0)
+    }
+
+    /// Like [`new`](Self::new), for member ids below `nodes`: the table is
+    /// sized to them on its first pledge and never reallocates.
+    pub(crate) fn with_id_capacity(ttl: SimDuration, nodes: usize) -> Self {
         OwnCommunity {
-            members: Default::default(),
+            members: IdMap::with_id_capacity(nodes),
             ttl,
         }
     }

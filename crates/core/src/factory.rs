@@ -5,6 +5,7 @@ use crate::config::ProtocolConfig;
 use crate::protocol::DiscoveryProtocol;
 use crate::realtor::Realtor;
 use realtor_net::NodeId;
+use std::sync::Arc;
 
 /// The five protocols compared in the paper's Figures 5–8.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -60,28 +61,37 @@ impl ProtocolKind {
 
     /// Build an instance of this protocol for `node`.
     ///
-    /// `peers` is the node's overlay scope and `capacity_secs` each peer's
-    /// queue capacity; both are only consumed by the adaptive-push baseline
-    /// (its "silence means unchanged" semantics needs an optimistic prior —
-    /// see `baselines::adaptive_push`).
-    pub fn build(
+    /// `peers` lists the world's nodes: its length sizes the per-node
+    /// tables once (see `realtor_net::IdMap`). Only the adaptive-push
+    /// baseline keeps the list itself, together with `capacity_secs`, each
+    /// peer's queue capacity (its "silence means unchanged" semantics needs
+    /// an optimistic prior — see `baselines::adaptive_push`). Pass an
+    /// `Arc<[NodeId]>` built once per world to share one list among all
+    /// instances; any other list is copied into each one.
+    pub fn build<P>(
         self,
         node: NodeId,
         cfg: ProtocolConfig,
-        peers: &[NodeId],
+        peers: &P,
         capacity_secs: f64,
-    ) -> Box<dyn DiscoveryProtocol> {
+    ) -> Box<dyn DiscoveryProtocol>
+    where
+        P: AsRef<[NodeId]> + Clone + Into<Arc<[NodeId]>>,
+    {
+        let nodes = peers.as_ref().len();
         match self {
-            ProtocolKind::PurePull => Box::new(PurePull::new(node, cfg)),
-            ProtocolKind::PurePush => Box::new(PurePush::new(node, cfg)),
+            ProtocolKind::PurePull => Box::new(PurePull::with_id_capacity(node, cfg, nodes)),
+            ProtocolKind::PurePush => Box::new(PurePush::with_id_capacity(node, cfg, nodes)),
             ProtocolKind::AdaptivePush => Box::new(AdaptivePush::new(
                 node,
                 cfg,
-                peers.to_vec(),
+                peers.clone().into(),
                 capacity_secs,
             )),
-            ProtocolKind::AdaptivePull => Box::new(AdaptivePull::new(node, cfg)),
-            ProtocolKind::Realtor => Box::new(Realtor::new(node, cfg)),
+            ProtocolKind::AdaptivePull => {
+                Box::new(AdaptivePull::with_id_capacity(node, cfg, nodes))
+            }
+            ProtocolKind::Realtor => Box::new(Realtor::with_id_capacity(node, cfg, nodes)),
         }
     }
 }

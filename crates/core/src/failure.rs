@@ -24,7 +24,7 @@
 //! periodic `sweep` calls; it draws no randomness and iterates peers in id
 //! order, so runs embedding it stay bit-for-bit deterministic.
 
-use realtor_net::{IdMap, NodeId};
+use realtor_net::{IdMap, NodeId, Vacancy};
 use realtor_simcore::{SimDuration, SimTime};
 
 /// Tuning knobs for the timeout-based failure detector.
@@ -91,6 +91,19 @@ struct PeerEntry {
     state: PeerState,
 }
 
+/// Nothing is heard at the end of time, so that marks an unwatched peer.
+impl Vacancy for PeerEntry {
+    const VACANT: PeerEntry = PeerEntry {
+        last_heard: SimTime::MAX,
+        state: PeerState::Alive,
+    };
+
+    #[inline]
+    fn is_vacant(&self) -> bool {
+        self.last_heard == SimTime::MAX
+    }
+}
+
 /// State transitions observed by one detector sweep, in id order.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SweepReport {
@@ -114,10 +127,16 @@ pub struct FailureDetector {
 impl FailureDetector {
     /// An empty detector.
     pub fn new(cfg: FailureDetectorConfig) -> Self {
+        Self::with_id_capacity(cfg, 0)
+    }
+
+    /// An empty detector for peer ids below `nodes`: the watch list is
+    /// sized to them on the first message heard and never reallocates.
+    pub(crate) fn with_id_capacity(cfg: FailureDetectorConfig, nodes: usize) -> Self {
         cfg.validate();
         FailureDetector {
             cfg,
-            peers: IdMap::new(),
+            peers: IdMap::with_id_capacity(nodes),
         }
     }
 

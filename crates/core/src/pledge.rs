@@ -12,7 +12,7 @@
 //! ```
 
 use crate::config::{CandidatePolicy, ProtocolConfig};
-use realtor_net::{IdMap, NodeId};
+use realtor_net::{IdMap, NodeId, Vacancy};
 use realtor_simcore::{SimDuration, SimTime};
 
 /// Which way usage moved across the pledge threshold.
@@ -89,6 +89,21 @@ pub struct Report {
     pub sent_at: SimTime,
 }
 
+/// A report received at the end of time marks an empty store slot: no
+/// delivery happens at [`SimTime::MAX`].
+impl Vacancy for Report {
+    const VACANT: Report = Report {
+        headroom_secs: 0.0,
+        at: SimTime::MAX,
+        sent_at: SimTime::ZERO,
+    };
+
+    #[inline]
+    fn is_vacant(&self) -> bool {
+        self.at == SimTime::MAX
+    }
+}
+
 /// The availability store: the organizer's "PLEDGE list" (for pull-based
 /// protocols) or advertisement cache (for push-based ones).
 #[derive(Debug, Clone, Default)]
@@ -104,6 +119,14 @@ impl AvailabilityStore {
     /// An empty store.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// An empty store for node ids below `nodes`: it is sized to them on
+    /// its first report and never reallocates.
+    pub(crate) fn with_id_capacity(nodes: usize) -> Self {
+        AvailabilityStore {
+            reports: IdMap::with_id_capacity(nodes),
+        }
     }
 
     /// Record (or overwrite) a *local* estimate for `node` — e.g. the
@@ -280,6 +303,18 @@ mod tests {
         assert!(p.is_above());
         assert_eq!(p.observe(0.95), None); // no spurious crossing at start
         assert_eq!(p.observe(0.1), Some(Crossing::BecameFree));
+    }
+
+    #[test]
+    fn report_slots_stay_24_bytes() {
+        // One slot per node per organizer: a new field widens N² slots.
+        assert_eq!(std::mem::size_of::<Report>(), 24);
+    }
+
+    #[test]
+    #[should_panic(expected = "vacant marker")]
+    fn a_report_received_at_the_end_of_time_is_refused() {
+        AvailabilityStore::new().record(1, 5.0, SimTime::MAX);
     }
 
     #[test]

@@ -52,24 +52,38 @@ pub struct Realtor {
     detector: Option<FailureDetector>,
     /// Structured-trace sink (disabled by default: a pure no-op observer).
     tracer: Tracer,
+    /// The world's node count: the per-node tables are sized to it.
+    nodes: usize,
 }
 
 impl Realtor {
     /// Create a REALTOR instance for `me`.
     pub fn new(me: NodeId, cfg: ProtocolConfig) -> Self {
+        Self::with_id_capacity(me, cfg, 0)
+    }
+
+    /// Like [`new`](Self::new), for a world of `nodes` nodes: the per-node
+    /// tables are sized to the node ids once, on their first entry.
+    pub(crate) fn with_id_capacity(me: NodeId, cfg: ProtocolConfig, nodes: usize) -> Self {
         cfg.validate();
         Realtor {
             me,
             help: HelpController::new(&cfg, HelpMode::Adaptive),
             policy: PledgePolicy::new(&cfg, 0.0),
-            memberships: MembershipTable::new(cfg.membership_ttl),
-            own_community: OwnCommunity::new(cfg.membership_ttl),
-            store: AvailabilityStore::new(),
+            memberships: MembershipTable::with_id_capacity(cfg.membership_ttl, nodes),
+            own_community: OwnCommunity::with_id_capacity(cfg.membership_ttl, nodes),
+            store: AvailabilityStore::with_id_capacity(nodes),
             last_need_secs: 0.0,
-            detector: cfg.failure_detector.map(FailureDetector::new),
+            detector: Self::new_detector(&cfg, nodes),
             tracer: Tracer::disabled(),
+            nodes,
             cfg,
         }
+    }
+
+    fn new_detector(cfg: &ProtocolConfig, nodes: usize) -> Option<FailureDetector> {
+        cfg.failure_detector
+            .map(|d| FailureDetector::with_id_capacity(d, nodes))
     }
 
     /// Immutable view of the pledge list (for tests and diagnostics).
@@ -376,14 +390,14 @@ impl DiscoveryProtocol for Realtor {
 
     fn on_reset(&mut self, now: SimTime) {
         self.help.reset();
-        self.memberships = MembershipTable::new(self.cfg.membership_ttl);
-        self.own_community = OwnCommunity::new(self.cfg.membership_ttl);
-        self.store = AvailabilityStore::new();
+        self.memberships = MembershipTable::with_id_capacity(self.cfg.membership_ttl, self.nodes);
+        self.own_community = OwnCommunity::with_id_capacity(self.cfg.membership_ttl, self.nodes);
+        self.store = AvailabilityStore::with_id_capacity(self.nodes);
         self.policy = PledgePolicy::new(&self.cfg, 0.0);
         self.last_need_secs = 0.0;
         // Amnesia extends to liveness verdicts: a restored node must not
         // remember who it had confirmed dead before the crash.
-        self.detector = self.cfg.failure_detector.map(FailureDetector::new);
+        self.detector = Self::new_detector(&self.cfg, self.nodes);
         let _ = now;
     }
 

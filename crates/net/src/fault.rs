@@ -207,6 +207,13 @@ impl FaultState {
         self.cut_links.contains(&(a.min(b), a.max(b)))
     }
 
+    /// Is the link between `a` and `b` unusable, cut either on its own or
+    /// by the active partition?
+    pub fn is_link_severed(&self, a: NodeId, b: NodeId) -> bool {
+        let key = (a.min(b), a.max(b));
+        self.cut_links.contains(&key) || self.partition_cuts.contains(&key)
+    }
+
     /// Number of currently cut links.
     pub fn cut_link_count(&self) -> usize {
         self.cut_links.len()
@@ -288,10 +295,7 @@ impl FaultState {
                 let edges: Vec<(NodeId, NodeId)> = topo
                     .edges()
                     .into_iter()
-                    .filter(|&(a, b)| {
-                        !self.cut_links.contains(&(a, b))
-                            && !self.partition_cuts.contains(&(a, b))
-                    })
+                    .filter(|&(a, b)| !self.is_link_severed(a, b))
                     .collect();
                 let filtered =
                     Topology::from_edges("link-filtered", topo.node_count(), &edges);

@@ -5,13 +5,14 @@
 //! * [`topology`] — undirected graphs and the generators used by the paper
 //!   (the 5×5 mesh of Figure 4) and the ablations (torus, ring, star,
 //!   complete, seeded random),
-//! * [`routing`] — all-pairs BFS shortest paths, recomputable over the
-//!   surviving subgraph,
+//! * [`routing`] — all-pairs BFS hop distances (2 B per pair) with next
+//!   hops derived on demand, recomputable over the surviving subgraph,
 //! * [`cost`] — the paper's Section-5 message accounting (flood = #links,
 //!   unicast = constant 4) plus an exact-hops variant,
 //! * [`fault`] — node-failure injection modelling external attacks,
 //! * [`idmap`] — a dense `NodeId`-keyed map (O(1) lookups, id-ordered
-//!   iteration) backing the protocol hot-path tables,
+//!   iteration, one in-place value per slot) backing the protocol
+//!   hot-path tables,
 //! * [`channel`] — the unreliable-delivery model (loss, latency, jitter,
 //!   duplication, degraded links) layered on top of routing.
 
@@ -27,6 +28,6 @@ pub mod topology;
 pub use channel::{ChannelModel, LinkQuality, Sampled};
 pub use cost::{CostModel, FloodCharge, MessageLedger, UnicastCharge};
 pub use fault::{FaultState, TargetingStrategy};
-pub use idmap::IdMap;
+pub use idmap::{IdMap, Vacancy};
 pub use routing::{Hops, Routing, HOPS_UNREACHABLE};
 pub use topology::{NodeId, Topology};

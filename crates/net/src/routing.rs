@@ -5,6 +5,11 @@
 //! module computes exact per-pair hop counts by BFS so the cost model can use
 //! either exact or constant charging. Routing tables can be recomputed over a
 //! subset of alive nodes to model attacks.
+//!
+//! Memory: the table stores only hop distances, 2 B per ordered pair (5 MB
+//! at N = 1600), plus a copy of the adjacency it was built over. Next hops
+//! are derived from the distances on demand (see [`Routing::next_hop`]);
+//! only paths over degraded links ask for them.
 
 use crate::topology::{NodeId, Topology};
 
@@ -14,16 +19,23 @@ pub type Hops = u32;
 /// Sentinel for "no path".
 pub const HOPS_UNREACHABLE: Hops = Hops::MAX;
 
-/// All-pairs hop counts and next-hop tables.
+/// A stored distance: `NO_PATH` stands for [`HOPS_UNREACHABLE`]. A finite
+/// distance is at most `n - 1`, so it fits while `n < NO_PATH`.
+type Dist = u16;
+const NO_PATH: Dist = Dist::MAX;
+
+/// All-pairs hop counts over one (possibly filtered) topology and alive set.
 #[derive(Debug, Clone)]
 pub struct Routing {
     n: usize,
     /// `dist[src * n + dst]`
-    dist: Vec<Hops>,
-    /// `next[src * n + dst]`: first hop on a shortest path (lowest-id
-    /// tie-break, so routing is deterministic); `usize::MAX` when unreachable
-    /// or src == dst.
-    next: Vec<NodeId>,
+    dist: Vec<Dist>,
+    /// The adjacency the table was built over, in compressed rows: the
+    /// neighbours of `u` are `adj[adj_start[u]..adj_start[u + 1]]`, in
+    /// ascending id order. A copy, because the topology may be a filtered
+    /// one (links cut by an attack or partition) that the caller drops.
+    adj_start: Vec<usize>,
+    adj: Vec<NodeId>,
 }
 
 impl Routing {
@@ -34,35 +46,49 @@ impl Routing {
 
     /// Compute routing over the alive subgraph only; dead nodes neither
     /// originate, receive, nor forward.
+    ///
+    /// # Panics
+    /// If `topo` has `u16::MAX` (65535) nodes or more.
     pub fn over_alive(topo: &Topology, alive: &[bool]) -> Self {
         let n = topo.node_count();
         assert_eq!(alive.len(), n);
-        let mut dist = vec![HOPS_UNREACHABLE; n * n];
-        let mut next = vec![usize::MAX; n * n];
+        assert!(
+            n < usize::from(NO_PATH),
+            "routing needs under {NO_PATH} nodes, got {n}"
+        );
+        let mut dist = vec![NO_PATH; n * n];
         let mut queue = std::collections::VecDeque::new();
         for src in 0..n {
             if !alive[src] {
                 continue;
             }
-            let base = src * n;
-            dist[base + src] = 0;
+            let row = &mut dist[src * n..(src + 1) * n];
+            row[src] = 0;
             queue.clear();
             queue.push_back(src);
             while let Some(u) = queue.pop_front() {
-                let du = dist[base + u];
+                let du = row[u];
                 for &v in topo.neighbors(u) {
-                    if !alive[v] || dist[base + v] != HOPS_UNREACHABLE {
-                        continue;
+                    if alive[v] && row[v] == NO_PATH {
+                        row[v] = du + 1;
+                        queue.push_back(v);
                     }
-                    dist[base + v] = du + 1;
-                    // First hop toward v: either v itself (if u is src) or
-                    // whatever first hop reaches u.
-                    next[base + v] = if u == src { v } else { next[base + u] };
-                    queue.push_back(v);
                 }
             }
         }
-        Routing { n, dist, next }
+        let mut adj_start = Vec::with_capacity(n + 1);
+        let mut adj = Vec::with_capacity(2 * topo.link_count());
+        adj_start.push(0);
+        for u in 0..n {
+            adj.extend_from_slice(topo.neighbors(u));
+            adj_start.push(adj.len());
+        }
+        Routing {
+            n,
+            dist,
+            adj_start,
+            adj,
+        }
     }
 
     /// Number of nodes the table was built over.
@@ -70,23 +96,51 @@ impl Routing {
         self.n
     }
 
+    #[inline]
+    fn dist(&self, src: NodeId, dst: NodeId) -> Dist {
+        self.dist[src * self.n + dst]
+    }
+
     /// Hop distance from `src` to `dst` ([`HOPS_UNREACHABLE`] if none).
     #[inline]
     pub fn hops(&self, src: NodeId, dst: NodeId) -> Hops {
-        self.dist[src * self.n + dst]
+        match self.dist(src, dst) {
+            NO_PATH => HOPS_UNREACHABLE,
+            d => Hops::from(d),
+        }
     }
 
     /// True when a path exists.
     #[inline]
     pub fn reachable(&self, src: NodeId, dst: NodeId) -> bool {
-        self.hops(src, dst) != HOPS_UNREACHABLE
+        self.dist(src, dst) != NO_PATH
     }
 
     /// First hop on a shortest `src → dst` path (`None` when unreachable or
-    /// `src == dst`).
+    /// `src == dst`): the lowest-id neighbour `w` of `src` one hop closer
+    /// to `dst`, so routing is deterministic.
+    ///
+    /// This is the first hop a BFS from `src` records for `dst` when it
+    /// hands each reached node the first hop of the node that reached it.
+    /// Adjacency lists are sorted ascending, so level 1 is enqueued in id
+    /// order, each node being its own first hop. Each later level is
+    /// enqueued while the previous level is dequeued, so by induction
+    /// every level is enqueued in non-decreasing first-hop order, and a
+    /// node is reached first by the predecessor with the smallest first
+    /// hop. That is the smallest `w` adjacent to `src` with
+    /// `hops(w, dst) == hops(src, dst) - 1`, which is what this scans for.
+    /// Dead neighbours have no finite distance, so they never qualify.
     pub fn next_hop(&self, src: NodeId, dst: NodeId) -> Option<NodeId> {
-        let h = self.next[src * self.n + dst];
-        (h != usize::MAX).then_some(h)
+        let d = self.dist(src, dst);
+        if d == NO_PATH || d == 0 {
+            return None;
+        }
+        // Distances are symmetric, so `dst`'s row holds every `hops(w, dst)`.
+        let row = &self.dist[dst * self.n..(dst + 1) * self.n];
+        self.adj[self.adj_start[src]..self.adj_start[src + 1]]
+            .iter()
+            .copied()
+            .find(|&w| row[w] == d - 1)
     }
 
     /// Full shortest path, including both endpoints; `None` when unreachable.
@@ -130,9 +184,9 @@ impl Routing {
         self.dist
             .iter()
             .copied()
-            .filter(|&d| d != HOPS_UNREACHABLE)
+            .filter(|&d| d != NO_PATH)
             .max()
-            .unwrap_or(0)
+            .map_or(0, Hops::from)
     }
 
     /// Nodes within `radius` hops of `center` (excluding `center`).

@@ -1,7 +1,10 @@
 //! Property-based tests for topologies and routing, on the in-tree
 //! `check` harness.
 
-use realtor_net::{FaultState, Routing, TargetingStrategy, Topology, HOPS_UNREACHABLE};
+use realtor_net::{
+    ChannelModel, FaultState, LinkQuality, NodeId, Routing, TargetingStrategy, Topology,
+    HOPS_UNREACHABLE,
+};
 use realtor_simcore::prelude::*;
 use realtor_simcore::{prop_assert, prop_assert_eq};
 
@@ -132,6 +135,148 @@ fn failures_only_remove_reachability() {
             for a in 0..16 {
                 for b in 0..16 {
                     prop_assert_eq!(restored.hops(a, b), full.hops(a, b));
+                }
+            }
+            Ok(())
+        },
+    );
+}
+
+/// The all-pairs first-hop table `Routing` used to store, kept as the
+/// reference for the on-demand next hops: a BFS from every alive source in
+/// which each reached node inherits the first hop of the node that reached
+/// it (lowest-id tie-break, since adjacency lists are sorted).
+struct BfsOracle {
+    n: usize,
+    dist: Vec<u32>,
+    next: Vec<Option<NodeId>>,
+}
+
+impl BfsOracle {
+    fn build(topo: &Topology, alive: &[bool]) -> Self {
+        let n = topo.node_count();
+        let mut dist = vec![HOPS_UNREACHABLE; n * n];
+        let mut next = vec![None; n * n];
+        for src in (0..n).filter(|&s| alive[s]) {
+            let base = src * n;
+            dist[base + src] = 0;
+            let mut queue = std::collections::VecDeque::from([src]);
+            while let Some(u) = queue.pop_front() {
+                for &v in topo.neighbors(u) {
+                    if !alive[v] || dist[base + v] != HOPS_UNREACHABLE {
+                        continue;
+                    }
+                    dist[base + v] = dist[base + u] + 1;
+                    next[base + v] = if u == src { Some(v) } else { next[base + u] };
+                    queue.push_back(v);
+                }
+            }
+        }
+        BfsOracle { n, dist, next }
+    }
+
+    fn hops(&self, src: NodeId, dst: NodeId) -> u32 {
+        self.dist[src * self.n + dst]
+    }
+
+    fn next_hop(&self, src: NodeId, dst: NodeId) -> Option<NodeId> {
+        self.next[src * self.n + dst]
+    }
+
+    fn path(&self, src: NodeId, dst: NodeId) -> Option<Vec<NodeId>> {
+        if self.hops(src, dst) == HOPS_UNREACHABLE {
+            return None;
+        }
+        let mut path = vec![src];
+        while *path.last().unwrap() != dst {
+            path.push(self.next_hop(*path.last().unwrap(), dst)?);
+        }
+        Some(path)
+    }
+
+    /// `ChannelModel::effective_quality` walked over the oracle's paths.
+    fn quality(&self, ch: &ChannelModel, src: NodeId, dst: NodeId) -> LinkQuality {
+        let mut q = ch.base();
+        if ch.degraded_link_count() == 0 || src == dst {
+            return q;
+        }
+        if let Some(path) = self.path(src, dst) {
+            for hop in path.windows(2) {
+                if ch.is_link_degraded(hop[0], hop[1]) {
+                    q = q.compose(&ch.degraded_quality());
+                }
+            }
+        }
+        q
+    }
+}
+
+/// Next hops derived from distances equal the stored BFS first-hop table,
+/// over mesh, torus and random graphs with random dead nodes, cut links
+/// and partitions applied through `FaultState`; so do hop counts, paths
+/// and the effective quality of paths crossing random degraded links.
+#[test]
+fn routing_matches_bfs_first_hop_oracle() {
+    forall(
+        "routing_matches_bfs_first_hop_oracle",
+        0x4E7006,
+        192,
+        |r| {
+            (
+                gen::u8_in(r, 0, 2),
+                gen::usize_in(r, 0, 48),
+                gen::u64_in(r, 0, 1000),
+                gen::usize_in(r, 0, 8),
+                gen::usize_in(r, 0, 6),
+                gen::usize_in(r, 0, 4),
+                gen::usize_in(r, 0, 8),
+            )
+        },
+        |&(family, size, seed, kills, cuts, parts, degraded)| {
+            let t = match family {
+                0 => Topology::mesh(1 + size % 7, 1 + size / 7 % 7),
+                1 => Topology::torus(3 + size % 5, 3 + size / 5 % 4),
+                _ => {
+                    let n = 2 + size % 30;
+                    Topology::random_connected(n, (3.0 / n as f64).clamp(0.15, 1.0), seed)
+                }
+            };
+            let n = t.node_count();
+            let edges = t.edges();
+            let mut rng = SimRng::from_seed(seed);
+            let mut f = FaultState::new(&t);
+            f.attack(&t, &TargetingStrategy::Random, kills.min(n / 3), &mut rng);
+            for _ in 0..cuts.min(edges.len()) {
+                let (a, b) = edges[rng.index(edges.len())];
+                f.cut_link(&t, a, b);
+            }
+            if parts >= 2 {
+                f.partition(&t, parts, &mut rng);
+            }
+            let mut ch = ChannelModel::uniform(LinkQuality::lossy(0.05));
+            for _ in 0..degraded.min(edges.len()) {
+                let (a, b) = edges[rng.index(edges.len())];
+                ch.degrade_link(a, b);
+            }
+
+            let kept: Vec<(NodeId, NodeId)> = edges
+                .iter()
+                .copied()
+                .filter(|&(a, b)| !f.is_link_severed(a, b))
+                .collect();
+            let filtered = Topology::from_edges("oracle", n, &kept);
+            let oracle = BfsOracle::build(&filtered, f.alive_flags());
+            let r = f.routing(&t);
+            for a in 0..n {
+                for b in 0..n {
+                    prop_assert_eq!(r.hops(a, b), oracle.hops(a, b), "hops {a}->{b}");
+                    prop_assert_eq!(r.next_hop(a, b), oracle.next_hop(a, b), "next {a}->{b}");
+                    prop_assert_eq!(r.path(a, b), oracle.path(a, b), "path {a}->{b}");
+                    prop_assert_eq!(
+                        ch.effective_quality(r, a, b),
+                        oracle.quality(&ch, a, b),
+                        "quality {a}->{b}"
+                    );
                 }
             }
             Ok(())

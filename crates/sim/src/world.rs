@@ -20,6 +20,7 @@ use realtor_simcore::trace::{attempt_span, TaskLineage};
 use realtor_simcore::Tracer;
 use realtor_workload::{AttackAction, ChurnProcess, Trace};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Simulation events.
 #[derive(Debug, Clone)]
@@ -240,7 +241,8 @@ fn drain_integral(b: f64, dt: f64) -> f64 {
 impl World {
     /// Build a world for `scenario` with the standard protocol factory.
     pub fn new(scenario: &Scenario) -> Self {
-        let peers: Vec<NodeId> = scenario.topology.nodes().collect();
+        // One peer list for the whole world, shared by every instance.
+        let peers: Arc<[NodeId]> = scenario.topology.nodes().collect();
         let kind = scenario.protocol;
         let cfg = scenario.protocol_config;
         let capacity = scenario.capacity_secs;

@@ -28,7 +28,7 @@ use crate::time::SimTime;
 /// Number of bands per wheel window (power of two; index = offset >> width).
 pub const BUCKETS: usize = 256;
 
-/// One wheel entry: an activation key plus an opaque payload handle.
+/// One wheel entry: an activation key plus an opaque payload.
 ///
 /// `seq` is the queue-global FIFO tie-break counter; the wheel stores it so
 /// a distilled band can be ordered exactly without touching the payload.
@@ -38,7 +38,7 @@ pub struct WheelEntry<T> {
     pub time: SimTime,
     /// FIFO tie-break sequence number (unique per queue).
     pub seq: u64,
-    /// Payload handle (the ladder queue stores a slab slot here).
+    /// Payload (the ladder queue stores the event itself here).
     pub item: T,
 }
 

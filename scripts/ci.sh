@@ -9,9 +9,13 @@
 #   1. release build, all targets, offline
 #   2. full test suite, offline
 #   3. perfbench unit tests (perfbench/ is a workspace of its own)
-#   4. perfbench correctness smoke: mesh_scale (N = 1600) on the held-out
-#      seed must match its stored digests; the golden figures only pin
-#      5x5 meshes, so this is the bit-exactness check at scale
+#   4. perfbench correctness smokes on the held-out seed: mesh_scale
+#      (N = 1600) must match its stored digests — the golden figures only
+#      pin 5x5 meshes, so this is the bit-exactness check at scale — and
+#      its peak RSS must stay within 150 MB (the per-node tables and the
+#      routing table at their payload size); churn_recovery must match its
+#      digests too, the only workload that runs FaultState rebuilds,
+#      per-recipient lossy floods and the failure-detector table
 #   5. clippy (gated: skipped with a notice if the component is absent)
 #   6. bench smoke run -> results/bench_smoke.json, gated against the
 #      committed results/bench_baseline.json: engine events/sec must not
@@ -70,17 +74,37 @@ cargo test --workspace --offline --quiet
 say "perfbench unit tests (offline)"
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
-say "perfbench correctness smoke (mesh_scale, N = 1600, stored digests)"
-smoke=$(cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
-    --workload mesh_scale --seed 424242 --seconds 0 --trace 0) || {
-    printf '%s\n' "$smoke" | tail -5 >&2
-    echo "perfbench mesh_scale smoke exited nonzero" >&2
-    exit 1
+# Run one perfbench workload on the held-out seed untimed; print its last
+# (JSON) line, failing unless it reports "correct": true.
+perfbench_smoke() {
+    local out last
+    out=$(cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+        --workload "$1" --seed 424242 --seconds 0 --trace 0) || {
+        printf '%s\n' "$out" | tail -5 >&2
+        echo "perfbench $1 smoke exited nonzero" >&2
+        return 1
+    }
+    last=$(printf '%s\n' "$out" | tail -1)
+    case "$last" in
+        *'"correct": true'*) printf '%s\n' "$last" ;;
+        *) echo "perfbench $1 smoke did not report \"correct\": true" >&2; return 1 ;;
+    esac
 }
-case "$(printf '%s\n' "$smoke" | tail -1)" in
-    *'"correct": true'*) echo "perfbench smoke ok: mesh_scale digests match" ;;
-    *) echo "perfbench mesh_scale smoke did not report \"correct\": true" >&2; exit 1 ;;
-esac
+
+say "perfbench correctness smoke (mesh_scale, N = 1600, stored digests, RSS budget)"
+smoke=$(perfbench_smoke mesh_scale)
+rss=$(printf '%s\n' "$smoke" | grep -o '"peak_rss_mb": {"value": [0-9.]*' | grep -o '[0-9.]*$') || rss=""
+awk -v rss="$rss" 'BEGIN {
+    if (rss == "" || rss + 0 > 150) {
+        printf "perfbench mesh_scale peak_rss_mb \"%s\" is missing or above the 150 MB budget\n", rss
+        exit 1
+    }
+    printf "perfbench smoke ok: mesh_scale digests match, peak_rss_mb %.1f <= 150\n", rss
+}'
+
+say "perfbench correctness smoke (churn_recovery, stored digests)"
+perfbench_smoke churn_recovery >/dev/null
+echo "perfbench smoke ok: churn_recovery digests match"
 
 say "clippy"
 if cargo clippy --version >/dev/null 2>&1; then
