@@ -21,7 +21,8 @@
 //!    thousands of near-identical protocol timers (TTL refresh,
 //!    Algorithm-H ticks, detector sweeps) batch-fire per fine band while
 //!    outliers sit untouched in coarse outer bands. Drained rungs retire
-//!    to a spare pool, so steady state allocates nothing.
+//!    to a spare pool and are reused, so spawning a rung allocates only
+//!    when the ladder is deeper than it has ever been.
 //! 3. **Overflow rung** — events past the outermost window wait in an
 //!    unsorted vector. When the whole rung stack has drained, the
 //!    outermost rung is re-anchored over the overflow's exact span and
@@ -31,13 +32,25 @@
 //! Event payloads travel **inline** in the wheel entries: a schedule is
 //! one sequential append into a band vector, a distillation *swaps* the
 //! band's vector with the (empty) head run — zero copies — and a pop
-//! hands the payload straight off the back of the run. In steady state
-//! the hot loop performs no allocation and no random-access reads at all:
-//! every touch is a sequential append, an in-L1 sort, or a pop from a hot
-//! vector tail. (Earlier variants — a payload slab indexed by 24-byte
-//! entries, and a binary-heap head — each paid for it: the slab with a
-//! cache miss per pop on deep queues, the heap with an O(log band) sift
-//! per pop. This layout measured fastest.)
+//! hands the payload straight off the back of the run. Every touch is a
+//! sequential append, an in-L1 sort, or a pop from a hot vector tail, and
+//! no random-access read. (Earlier variants — a payload slab indexed by
+//! 24-byte entries, and a binary-heap head — each paid for it: the slab
+//! with a cache miss per pop on deep queues, the heap with an O(log band)
+//! sift per pop. This layout measured fastest.)
+//!
+//! **Retained memory follows pending events.** The swaps rotate
+//! allocations between the head run, the scratch buffer and the band
+//! vectors. An empty vector that would rotate back into a band — the
+//! scratch buffer after a distill or a rung spawn — is therefore swapped
+//! for a fresh [`RETAIN_CAP`](crate::wheel::RETAIN_CAP)-entry vector if it
+//! holds more; so is the overflow after a rebase and every vector on
+//! `clear`. Bands up to that size recycle their allocations, so while
+//! bands stay that small the queue allocates nothing; a larger band gives
+//! its block back once it drains and grows a new one when it fills again.
+//! Without the cap a burst's allocation is parked in whichever band
+//! drains next, and a long run keeps its largest bursts in every band of
+//! every rung. [`EventQueue::retained_capacity`] reports the total.
 //!
 //! Determinism is the hard constraint, not a nicety: [`HeapQueue`] — the
 //! original `BinaryHeap` implementation — is retained as the reference
@@ -46,7 +59,7 @@
 //! schedule/pop/peek/clear sequences.
 
 use crate::time::SimTime;
-use crate::wheel::{TimerWheel, WheelEntry};
+use crate::wheel::{release_excess, TimerWheel, WheelEntry};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -116,12 +129,14 @@ pub struct EventQueue<E> {
     /// oversized band is distilled). `rungs[i].limit` bounds the times the
     /// rung may hold; limits are non-increasing along the stack.
     rungs: Vec<Rung<E>>,
-    /// Retired rungs kept for reuse (their 256 band vectors keep their
-    /// capacity, so spawning a rung in steady state allocates nothing).
+    /// Retired rungs kept for reuse. Their wheels are empty, so each of
+    /// their 256 band vectors holds at most `RETAIN_CAP` entries of
+    /// capacity.
     spare: Vec<Rung<E>>,
     /// Scratch buffer for band distillation. Its allocation rotates with
     /// the head run and the wheel bands via swaps, so distilling copies
-    /// nothing.
+    /// nothing. Whenever it is left empty it is capped at `RETAIN_CAP`
+    /// entries, so no burst's allocation rotates back into a band.
     band_buf: Vec<WheelEntry<E>>,
     /// Far-future overflow (unsorted) past the outermost rung's window.
     overflow: Vec<WheelEntry<E>>,
@@ -182,13 +197,14 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Create an empty queue sized for roughly `cap` pending events (the
-    /// head run and distillation scratch get their expected steady-state
-    /// capacity up front; band vectors grow on first use and are kept).
+    /// Create an empty queue sized for roughly `cap` pending events: the
+    /// head run reserves up to 4096 entries for the first band, the
+    /// distillation scratch up to `RETAIN_CAP`. Band vectors grow on first
+    /// use and keep at most `RETAIN_CAP` entries once drained.
     pub fn with_capacity(cap: usize) -> Self {
         let mut q = Self::new();
         q.head.reserve(cap.min(1 << 12));
-        q.band_buf.reserve(cap.min(1 << 12));
+        q.band_buf.reserve(cap.min(crate::wheel::RETAIN_CAP));
         q
     }
 
@@ -313,6 +329,7 @@ impl<E> EventQueue<E> {
                         .ok()
                         .expect("spawned window covers its band");
                 }
+                release_excess(band);
                 self.rungs.push(inner);
             } else {
                 self.bar = SimTime::from_ticks(end);
@@ -323,6 +340,7 @@ impl<E> EventQueue<E> {
                 std::mem::swap(&mut self.head, band);
                 self.head
                     .sort_unstable_by_key(|e| std::cmp::Reverse(pack_key(e)));
+                release_excess(&mut self.band_buf);
             }
         }
     }
@@ -352,6 +370,7 @@ impl<E> EventQueue<E> {
                 .ok()
                 .expect("rebased window covers the overflow span");
         }
+        release_excess(&mut self.overflow);
         self.rungs.push(outer);
         self.overflow_min = u64::MAX;
         self.overflow_max = 0;
@@ -420,15 +439,41 @@ impl<E> EventQueue<E> {
         self.high_water
     }
 
-    /// Drop all pending events (rung and scratch capacity is kept).
+    /// Entries of capacity the queue holds allocated: the head run, the
+    /// distillation scratch, the overflow and every band of the live and
+    /// spare rungs. The scratch buffer and every empty band keep at most
+    /// `RETAIN_CAP` entries, so the total follows the pending events and
+    /// the high-water mark, not the largest band ever distilled.
+    pub fn retained_capacity(&self) -> usize {
+        self.head.capacity()
+            + self.band_buf.capacity()
+            + self.overflow.capacity()
+            + self
+                .rungs
+                .iter()
+                .chain(&self.spare)
+                .map(|r| r.wheel.retained_capacity())
+                .sum::<usize>()
+    }
+
+    /// Rungs allocated, live and spare; each owns
+    /// [`BUCKETS`](crate::wheel::BUCKETS) band vectors.
+    pub fn rungs_allocated(&self) -> usize {
+        self.rungs.len() + self.spare.len()
+    }
+
+    /// Drop all pending events, capping every emptied vector at
+    /// `RETAIN_CAP` entries (the rungs retire to the spare pool).
     pub fn clear(&mut self) {
         self.head.clear();
+        release_excess(&mut self.head);
         while let Some(mut rung) = self.rungs.pop() {
             rung.wheel.clear();
             self.spare.push(rung);
         }
         self.band_buf.clear();
         self.overflow.clear();
+        release_excess(&mut self.overflow);
         self.overflow_min = u64::MAX;
         self.overflow_max = 0;
         self.bar = SimTime::ZERO;

@@ -4,12 +4,12 @@
 //! `2^width_log2` ticks each, covering the half-open window
 //! `[base, base + BUCKETS << width_log2)`. Scheduling into the window is
 //! O(1): compute the band index, push onto that band's vector. Draining is
-//! banded: [`TimerWheel::pop_band`] removes the next non-empty band *whole*,
-//! so the thousands of near-identical protocol timer expiries the REALTOR
-//! stack arms (TTL refreshes, Algorithm-H interval ticks, failure-detector
-//! sweeps) come back as one batch instead of one heap pop each — the
-//! classic hashed-timing-wheel trade (Varghese & Lauck) applied to a DES
-//! future-event list.
+//! banded: [`TimerWheel::pop_band_swap`] removes the next non-empty band
+//! *whole*, so the thousands of near-identical protocol timer expiries the
+//! REALTOR stack arms (TTL refreshes, Algorithm-H interval ticks,
+//! failure-detector sweeps) come back as one batch instead of one heap pop
+//! each — the classic hashed-timing-wheel trade (Varghese & Lauck) applied
+//! to a DES future-event list.
 //!
 //! Entries inside a band are **unordered**; the caller (the ladder queue in
 //! [`crate::event`]) establishes the exact deterministic `(time, seq)`
@@ -22,11 +22,40 @@
 //! rung's span so the wheel always covers the *currently pending* horizon,
 //! which is what makes scheduling near-O(1) regardless of how far apart
 //! event times are spread.
+//!
+//! An empty band vector keeps at most [`RETAIN_CAP`] entries of capacity.
+//! Band vectors rotate allocations with the ladder queue's head run and
+//! scratch buffer, so without the cap one burst's allocation would end up
+//! parked in a band slot for good, and a long run would retain its largest
+//! bursts in every slot of every rung.
 
 use crate::time::SimTime;
 
 /// Number of bands per wheel window (power of two; index = offset >> width).
 pub const BUCKETS: usize = 256;
+
+/// Most capacity, in entries, an empty band vector (or the ladder queue's
+/// empty scratch and overflow vectors) keeps. Bands up to this size recycle
+/// their allocations and allocate nothing in steady state; a larger band's
+/// allocation is swapped for a `RETAIN_CAP`-entry one once it has drained.
+pub const RETAIN_CAP: usize = 64;
+
+/// Swap an empty vector holding more than [`RETAIN_CAP`] entries of
+/// capacity for a fresh one of exactly `RETAIN_CAP`.
+///
+/// The old block is freed whole, then the fresh one allocated. Shrinking
+/// in place kept more memory resident, and allocating before freeing made
+/// the next simulation's set-up fault pages back in (DESIGN.md, A17). The
+/// vector is not left unallocated either: it rotates into a band, and a
+/// band of up to `RETAIN_CAP` entries must fill it without growing.
+#[inline]
+pub(crate) fn release_excess<T>(v: &mut Vec<T>) {
+    debug_assert!(v.is_empty(), "only drained vectors give capacity back");
+    if v.capacity() > RETAIN_CAP {
+        drop(std::mem::take(v));
+        v.reserve_exact(RETAIN_CAP);
+    }
+}
 
 /// One wheel entry: an activation key plus an opaque payload.
 ///
@@ -61,7 +90,7 @@ pub struct TimerWheel<T> {
     /// First tick past the window (saturated; band indexing is the
     /// authoritative bounds check).
     end: u64,
-    /// Next band [`TimerWheel::pop_band`] will consider.
+    /// Next band [`TimerWheel::pop_band_swap`] will consider.
     cursor: usize,
     /// Entries currently stored across all bands.
     len: usize,
@@ -160,36 +189,15 @@ impl<T> TimerWheel<T> {
             .min(u128::from(u64::MAX)) as u64
     }
 
-    /// Drain the next non-empty band whole into `out` (appended,
-    /// unordered): returns the first tick past the band (every drained
-    /// entry activates before it). Advances the cursor past the drained
-    /// band; the band's vector keeps its capacity for the next window.
-    /// `None` when the wheel is empty.
-    pub fn pop_band_into(&mut self, out: &mut Vec<WheelEntry<T>>) -> Option<SimTime> {
-        if self.len == 0 {
-            return None;
-        }
-        while self.cursor < BUCKETS {
-            if self.bands[self.cursor].is_empty() {
-                self.cursor += 1;
-                continue;
-            }
-            let band = &mut self.bands[self.cursor];
-            self.len -= band.len();
-            out.append(band);
-            let end = self.band_end(self.cursor);
-            self.cursor += 1;
-            return Some(SimTime::from_ticks(end));
-        }
-        unreachable!("len > 0 but every band was empty");
-    }
-
-    /// Like [`TimerWheel::pop_band_into`] but **swaps** vectors instead of
-    /// copying: `out` (which must be empty) receives the band's vector
-    /// wholesale, and the band keeps `out`'s old allocation for the next
-    /// window. This is the ladder queue's zero-copy distill path — the
-    /// head run, scratch buffer, and band vectors rotate one allocation
-    /// between them.
+    /// Drain the next non-empty band whole by **swapping** vectors: `out`
+    /// (which must be empty) receives the band's entries, unordered, and the
+    /// band keeps `out`'s old allocation for the next window. Returns the
+    /// first tick past the band (every drained entry activates before it)
+    /// and advances the cursor past the band; `None` when the wheel is
+    /// empty. This is the ladder queue's zero-copy distill path: the head
+    /// run, scratch buffer and band vectors rotate allocations between
+    /// them, and the queue caps `out` at [`RETAIN_CAP`] before it can
+    /// rotate back into a band.
     pub fn pop_band_swap(&mut self, out: &mut Vec<WheelEntry<T>>) -> Option<SimTime> {
         debug_assert!(out.is_empty(), "swap target must be empty");
         if self.len == 0 {
@@ -210,13 +218,6 @@ impl<T> TimerWheel<T> {
         unreachable!("len > 0 but every band was empty");
     }
 
-    /// [`TimerWheel::pop_band_into`] returning a fresh vector (convenience
-    /// for tests; the hot path reuses a scratch buffer instead).
-    pub fn pop_band(&mut self) -> Option<(SimTime, Vec<WheelEntry<T>>)> {
-        let mut out = Vec::new();
-        self.pop_band_into(&mut out).map(|end| (end, out))
-    }
-
     /// Earliest activation time stored, scanning from the cursor (read-only
     /// peek; O(BUCKETS + band occupancy)).
     pub fn peek_min_time(&self) -> Option<SimTime> {
@@ -229,16 +230,24 @@ impl<T> TimerWheel<T> {
             .map(|b| b.iter().map(|e| e.time).min().expect("band is non-empty"))
     }
 
-    /// Drop every entry; the window stays where it was. O(1) when the
-    /// wheel is already empty (the common case: retiring a drained rung).
+    /// Drop every entry, capping each emptied band at [`RETAIN_CAP`]; the
+    /// window stays where it was. O(1) when the wheel is already empty (the
+    /// common case: retiring a drained rung), since empty bands are never
+    /// above the cap.
     pub fn clear(&mut self) {
         if self.len != 0 {
             for b in &mut self.bands {
                 b.clear();
+                release_excess(b);
             }
             self.len = 0;
         }
         self.cursor = BUCKETS;
+    }
+
+    /// Entries allocated across all band vectors.
+    pub(crate) fn retained_capacity(&self) -> usize {
+        self.bands.iter().map(Vec::capacity).sum()
     }
 }
 
@@ -254,6 +263,12 @@ mod tests {
         }
     }
 
+    /// Drain the next band into a fresh vector.
+    fn pop(w: &mut TimerWheel<u32>) -> Option<(SimTime, Vec<WheelEntry<u32>>)> {
+        let mut out = Vec::new();
+        w.pop_band_swap(&mut out).map(|end| (end, out))
+    }
+
     #[test]
     fn bands_partition_the_window() {
         let mut w = TimerWheel::new();
@@ -265,13 +280,13 @@ mod tests {
         assert!(w.insert(e(1_000 + 256 * 16, 4)).is_err()); // past window
         assert_eq!(w.len(), 3);
 
-        let (end0, band0) = w.pop_band().unwrap();
+        let (end0, band0) = pop(&mut w).unwrap();
         assert_eq!(end0, SimTime::from_ticks(1_016));
         assert_eq!(band0.len(), 2, "same-band timers batch-fire together");
-        let (end1, band1) = w.pop_band().unwrap();
+        let (end1, band1) = pop(&mut w).unwrap();
         assert_eq!(end1, SimTime::from_ticks(1_032));
         assert_eq!(band1.len(), 1);
-        assert!(w.pop_band().is_none());
+        assert!(pop(&mut w).is_none());
     }
 
     #[test]
@@ -280,7 +295,7 @@ mod tests {
         w.rebase(SimTime::from_ticks(0), 4);
         assert!(w.insert(e(0, 0)).is_ok());
         assert!(w.insert(e(40, 1)).is_ok());
-        let _ = w.pop_band().unwrap(); // sweeps band 0
+        let _ = pop(&mut w).unwrap(); // sweeps band 0
         assert!(w.insert(e(5, 2)).is_err(), "band 0 already swept");
         assert!(w.insert(e(41, 3)).is_ok(), "band 2 still live");
     }
@@ -304,7 +319,7 @@ mod tests {
         w.rebase(SimTime::from_ticks(base), 60);
         assert!(w.insert(e(u64::MAX, 0)).is_ok());
         assert!(w.insert(e(base, 1)).is_ok());
-        let (_, band) = w.pop_band().unwrap();
+        let (_, band) = pop(&mut w).unwrap();
         assert_eq!(band.len(), 2);
     }
 
@@ -315,7 +330,7 @@ mod tests {
         for seq in 0..1_000 {
             assert!(w.insert(e(512, seq)).is_ok());
         }
-        let (_, band) = w.pop_band().unwrap();
+        let (_, band) = pop(&mut w).unwrap();
         assert_eq!(band.len(), 1_000, "one pop drains the whole burst");
         assert!(w.is_empty());
     }
@@ -338,6 +353,35 @@ mod tests {
         assert!(w.insert(e(10, 0)).is_ok());
         w.clear();
         assert!(w.is_empty());
-        assert!(w.pop_band().is_none());
+        assert!(pop(&mut w).is_none());
+    }
+
+    #[test]
+    fn swap_parks_the_callers_allocation_in_the_band() {
+        let mut w = TimerWheel::new();
+        w.rebase(SimTime::ZERO, 4);
+        for seq in 0..1_000 {
+            assert!(w.insert(e(3, seq)).is_ok());
+        }
+        let mut out = Vec::with_capacity(8);
+        assert_eq!(w.pop_band_swap(&mut out), Some(SimTime::from_ticks(16)));
+        assert_eq!(out.len(), 1_000);
+        assert_eq!(w.retained_capacity(), 8, "the band holds out's old vector");
+    }
+
+    #[test]
+    fn clear_caps_oversized_bands() {
+        let mut w = TimerWheel::new();
+        w.rebase(SimTime::ZERO, 4);
+        for seq in 0..1_000 {
+            assert!(w.insert(e(3 + 16 * (seq % 2), seq)).is_ok());
+        }
+        assert!(w.retained_capacity() >= 1_000);
+        w.clear();
+        assert_eq!(
+            w.retained_capacity(),
+            2 * RETAIN_CAP,
+            "both 500-entry bands capped"
+        );
     }
 }

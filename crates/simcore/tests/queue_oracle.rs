@@ -9,9 +9,14 @@
 //! including same-instant bursts (which exercise the wheel's batch-fired
 //! bands) and far-future outliers (which exercise the overflow rung and
 //! the window rebase).
+//!
+//! The same scripts check the ladder's footprint: after every operation
+//! the capacity it keeps allocated stays within [`retained_bound`], so
+//! its memory follows pending events, not the largest band it has seen.
 
 use realtor_simcore::event::HeapQueue;
 use realtor_simcore::prelude::*;
+use realtor_simcore::wheel::{BUCKETS, RETAIN_CAP};
 use realtor_simcore::{prop_assert, prop_assert_eq};
 
 /// One scripted operation against both queues.
@@ -24,8 +29,14 @@ enum Op {
     Burst { offset: u64, count: usize },
     /// Schedule a far-future outlier at `cursor + 10^12 + offset`.
     Outlier { offset: u64 },
+    /// Schedule `count` events over 80 instants `spacing` ticks apart from
+    /// the cursor, like the deliveries of one flood across a mesh: a band
+    /// large enough to spawn an inner rung.
+    Flood { count: usize, spacing: u64 },
     /// Pop one event from both queues and compare.
     Pop,
+    /// Pop both queues empty, comparing every event.
+    Drain,
     /// Compare `peek_time` (read-only on both).
     Peek,
     /// Clear both queues.
@@ -38,20 +49,36 @@ impl realtor_simcore::check::Shrink for Op {}
 
 fn gen_op(r: &mut SimRng) -> Op {
     match gen::u64_in(r, 0, 99) {
-        0..=34 => Op::Schedule {
+        0..=31 => Op::Schedule {
             offset: gen::u64_in(r, 0, 5_000),
         },
-        35..=44 => Op::Burst {
+        32..=40 => Op::Burst {
             offset: gen::u64_in(r, 0, 1_000),
             count: gen::usize_in(r, 2, 40),
         },
-        45..=54 => Op::Outlier {
+        41..=49 => Op::Outlier {
             offset: gen::u64_in(r, 0, 1_000_000_000),
         },
-        55..=84 => Op::Pop,
+        50..=54 => Op::Flood {
+            count: gen::usize_in(r, 520, 1_600),
+            spacing: gen::u64_in(r, 1, 1_000),
+        },
+        55..=57 => Op::Drain,
+        58..=84 => Op::Pop,
         85..=97 => Op::Peek,
         _ => Op::Clear,
     }
+}
+
+/// The most capacity, in entries, the ladder may keep allocated. The
+/// scratch buffer and every empty band hold at most `RETAIN_CAP`. The head
+/// run, the overflow and each non-empty band hold at most `RETAIN_CAP` or
+/// twice the most entries their vector has held since it was last empty,
+/// whichever is larger. The overflow and the bands only grow until they
+/// drain, so those entries are still pending: at most `len` in all. The
+/// head's are at most `high_water`.
+fn retained_bound<E>(q: &EventQueue<E>) -> usize {
+    2 * (q.high_water() + q.len()) + (BUCKETS * q.rungs_allocated() + 3) * RETAIN_CAP
 }
 
 #[test]
@@ -92,6 +119,15 @@ fn ladder_queue_matches_heap_oracle() {
                         oracle.schedule(t, payload);
                         payload += 1;
                     }
+                    Op::Flood { count, spacing } => {
+                        for i in 0..count as u64 {
+                            let t =
+                                SimTime::from_ticks(cursor.saturating_add(spacing * (i * 37 % 80)));
+                            ladder.schedule(t, payload);
+                            oracle.schedule(t, payload);
+                            payload += 1;
+                        }
+                    }
                     Op::Pop => {
                         let a = ladder.pop();
                         let b = oracle.pop();
@@ -100,6 +136,15 @@ fn ladder_queue_matches_heap_oracle() {
                             cursor = t.ticks();
                         }
                     }
+                    Op::Drain => loop {
+                        let a = ladder.pop();
+                        let b = oracle.pop();
+                        prop_assert_eq!(a, b, "drain streams diverged");
+                        match a {
+                            Some((t, _)) => cursor = t.ticks(),
+                            None => break,
+                        }
+                    },
                     Op::Peek => {
                         prop_assert_eq!(ladder.peek_time(), oracle.peek_time());
                     }
@@ -112,6 +157,12 @@ fn ladder_queue_matches_heap_oracle() {
                 prop_assert_eq!(ladder.is_empty(), oracle.is_empty());
                 prop_assert_eq!(ladder.high_water(), oracle.high_water());
                 prop_assert_eq!(ladder.scheduled_total(), oracle.scheduled_total());
+                prop_assert!(
+                    ladder.retained_capacity() <= retained_bound(&ladder),
+                    "retained capacity {} above the bound {}",
+                    ladder.retained_capacity(),
+                    retained_bound(&ladder)
+                );
             }
             // Drain both to the end: the full residual streams must agree.
             loop {
@@ -153,4 +204,35 @@ fn next_time_agrees_with_peek_time() {
             Ok(())
         },
     );
+}
+
+/// Flood after flood through a queue that also holds a far-future timer,
+/// each flood drained before the next: 400 rounds of 1,600 events over 80
+/// instants, the HELP/PLEDGE pattern of a 40x40 mesh. Every flood band
+/// spawns an inner rung, and the footprint must stay within the bound
+/// however many floods have passed, instead of parking one flood's
+/// allocation in each band the ladder drains.
+#[test]
+fn drained_floods_do_not_accumulate_capacity() {
+    let mut q = EventQueue::new();
+    let mut r = SimRng::from_seed(0xB0057);
+    q.schedule(SimTime::from_ticks(1 << 50), u64::MAX);
+    let mut now = 0u64;
+    for round in 0..400u64 {
+        for i in 0..1_600 {
+            let t = now + 1 + (r.u64() % 80) * 1_000_000;
+            q.schedule(SimTime::from_ticks(t), round * 1_600 + i);
+        }
+        for _ in 0..1_600 {
+            let (t, _) = q.pop().expect("the flood is pending");
+            now = t.ticks();
+        }
+        assert_eq!(q.len(), 1, "only the far-future timer is left");
+        assert!(
+            q.retained_capacity() <= retained_bound(&q),
+            "round {round}: retained capacity {} above the bound {}",
+            q.retained_capacity(),
+            retained_bound(&q)
+        );
+    }
 }

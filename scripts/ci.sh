@@ -12,10 +12,12 @@
 #   4. perfbench correctness smokes on the held-out seed: mesh_scale
 #      (N = 1600) must match its stored digests — the golden figures only
 #      pin 5x5 meshes, so this is the bit-exactness check at scale — and
-#      its peak RSS must stay within 150 MB (the per-node tables and the
-#      routing table at their payload size); churn_recovery must match its
-#      digests too, the only workload that runs FaultState rebuilds,
-#      per-recipient lossy floods and the failure-detector table
+#      its peak RSS must stay within 80 MB (the per-node tables and the
+#      routing table at their payload size, the event queue holding
+#      capacity for its pending events only); churn_recovery must match
+#      its digests too, the only workload that runs FaultState rebuilds,
+#      per-recipient lossy floods and the failure-detector table, and its
+#      peak RSS must stay within 25 MB
 #   5. clippy (gated: skipped with a notice if the component is absent)
 #   6. bench smoke run -> results/bench_smoke.json, gated against the
 #      committed results/bench_baseline.json: engine events/sec must not
@@ -74,10 +76,10 @@ cargo test --workspace --offline --quiet
 say "perfbench unit tests (offline)"
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
-# Run one perfbench workload on the held-out seed untimed; print its last
-# (JSON) line, failing unless it reports "correct": true.
+# Run one perfbench workload on the held-out seed untimed, failing unless
+# it reports "correct": true and a peak_rss_mb within the budget of $2 MB.
 perfbench_smoke() {
-    local out last
+    local out last rss
     out=$(cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
         --workload "$1" --seed 424242 --seconds 0 --trace 0) || {
         printf '%s\n' "$out" | tail -5 >&2
@@ -86,25 +88,24 @@ perfbench_smoke() {
     }
     last=$(printf '%s\n' "$out" | tail -1)
     case "$last" in
-        *'"correct": true'*) printf '%s\n' "$last" ;;
+        *'"correct": true'*) ;;
         *) echo "perfbench $1 smoke did not report \"correct\": true" >&2; return 1 ;;
     esac
+    rss=$(printf '%s\n' "$last" | grep -o '"peak_rss_mb": {"value": [0-9.]*' | grep -o '[0-9.]*$') || rss=""
+    awk -v w="$1" -v rss="$rss" -v cap="$2" 'BEGIN {
+        if (rss == "" || rss + 0 > cap + 0) {
+            printf "perfbench %s peak_rss_mb \"%s\" is missing or above the %s MB budget\n", w, rss, cap
+            exit 1
+        }
+        printf "perfbench smoke ok: %s digests match, peak_rss_mb %.1f <= %s\n", w, rss, cap
+    }'
 }
 
 say "perfbench correctness smoke (mesh_scale, N = 1600, stored digests, RSS budget)"
-smoke=$(perfbench_smoke mesh_scale)
-rss=$(printf '%s\n' "$smoke" | grep -o '"peak_rss_mb": {"value": [0-9.]*' | grep -o '[0-9.]*$') || rss=""
-awk -v rss="$rss" 'BEGIN {
-    if (rss == "" || rss + 0 > 150) {
-        printf "perfbench mesh_scale peak_rss_mb \"%s\" is missing or above the 150 MB budget\n", rss
-        exit 1
-    }
-    printf "perfbench smoke ok: mesh_scale digests match, peak_rss_mb %.1f <= 150\n", rss
-}'
+perfbench_smoke mesh_scale 80
 
-say "perfbench correctness smoke (churn_recovery, stored digests)"
-perfbench_smoke churn_recovery >/dev/null
-echo "perfbench smoke ok: churn_recovery digests match"
+say "perfbench correctness smoke (churn_recovery, stored digests, RSS budget)"
+perfbench_smoke churn_recovery 25
 
 say "clippy"
 if cargo clippy --version >/dev/null 2>&1; then
