@@ -17,12 +17,16 @@ use std::io::Write as _;
 /// plus ~1% long-TTL stragglers).
 const STRESS_PENDING: usize = 200_000;
 
+/// The payload both queue stresses schedule: exactly as large as the
+/// simulator's event enum, so both queues move realistic freight.
+type Freight = [u64; 8];
+const _: () = assert!(size_of::<Freight>() == size_of::<realtor_sim::world::Ev>());
+
 /// Deterministic deep-queue workload: fill to `STRESS_PENDING` events,
 /// hold the depth steady across `2 * STRESS_PENDING` pop-then-reschedule
-/// steps, then drain. The payload is sized like the simulation's event
-/// enum (~48 bytes) so both queues move realistic freight. Returns a
-/// checksum so the work cannot be optimized away — and so the two queues
-/// can be asserted to have processed identical streams.
+/// steps, then drain. Returns a checksum so the work cannot be optimized
+/// away — and so the two queues can be asserted to have processed
+/// identical streams.
 macro_rules! stress_workload {
     ($queue:expr) => {{
         let mut q = $queue;
@@ -38,14 +42,14 @@ macro_rules! stress_workload {
         };
         for i in 0..STRESS_PENDING as u64 {
             let t = sched_time(&mut rng, now);
-            q.schedule(SimTime::from_ticks(t), [i, t, 0, 0, 0, 0]);
+            q.schedule(SimTime::from_ticks(t), [i, t, 0, 0, 0, 0, 0, 0] as Freight);
         }
         for i in 0..(2 * STRESS_PENDING) as u64 {
             let (t, ev) = q.pop().expect("queue holds events");
             now = t.ticks();
             check = check.wrapping_mul(31).wrapping_add(ev[0]).wrapping_add(now);
             let nt = sched_time(&mut rng, now);
-            q.schedule(SimTime::from_ticks(nt), [i, nt, 1, 0, 0, 0]);
+            q.schedule(SimTime::from_ticks(nt), [i, nt, 1, 0, 0, 0, 0, 0]);
         }
         while let Some((t, ev)) = q.pop() {
             check = check
@@ -55,6 +59,87 @@ macro_rules! stress_workload {
         }
         check
     }};
+}
+
+/// Background protocol timers in the burst stress, spread over 60 s.
+const BURST_TIMERS: u64 = 4_000;
+
+/// Copies of one flood: one per other node of a 400-node world.
+const BURST_COPIES: u64 = 399;
+
+/// Deterministic lossy-flood workload, the `churn_recovery` pattern:
+/// `BURST_TIMERS` background timers over 60 s; every 64th timer to fire
+/// floods `BURST_COPIES` per-recipient copies at one instant 13 ms later
+/// (inside the band being drained), and every other copy replies 1–40 ms
+/// after it arrives. Each popped event feeds the checksum, as in
+/// `stress_workload`.
+macro_rules! burst_workload {
+    ($queue:expr) => {{
+        const MS: u64 = 1_000_000;
+        let mut q = $queue;
+        let mut rng = SimRng::from_seed(0xB0257);
+        let mut check = 0u64;
+        for i in 0..BURST_TIMERS {
+            let t = rng.u64() % (60_000 * MS);
+            q.schedule(SimTime::from_ticks(t), [0, i, t, 0, 0, 0, 0, 0] as Freight);
+        }
+        let mut timers = 0u64;
+        while let Some((t, ev)) = q.pop() {
+            let now = t.ticks();
+            check = check.wrapping_mul(31).wrapping_add(ev[1]).wrapping_add(now);
+            match ev[0] {
+                0 => {
+                    timers += 1;
+                    if timers % 64 == 0 {
+                        let at = SimTime::from_ticks(now + 13 * MS);
+                        for c in 0..BURST_COPIES {
+                            q.schedule(at, [1, c, now, 0, 0, 0, 0, 0]);
+                        }
+                    }
+                }
+                1 if ev[1] % 2 == 0 => {
+                    let reply = now + (1 + rng.u64() % 40) * MS;
+                    q.schedule(SimTime::from_ticks(reply), [2, ev[1], now, 0, 0, 0, 0, 0]);
+                }
+                _ => {}
+            }
+        }
+        check
+    }};
+}
+
+/// Time `ladder` and `heap` in five interleaved pairs (ladder first),
+/// asserting equal checksums, and return the medians of the per-pair
+/// heap/ladder ratio, the ladder's ns and the heap's ns. Back-to-back
+/// pairing cancels the slow clock drift of a shared runner (frequency
+/// scaling, noisy neighbours) where two separate median-of-N blocks
+/// would not.
+fn paired_speedup(
+    mut ladder: impl FnMut() -> u64,
+    mut heap: impl FnMut() -> u64,
+) -> (f64, u64, u64) {
+    let mut ratios = Vec::with_capacity(5);
+    let mut ladder_med = Vec::with_capacity(5);
+    let mut heap_med = Vec::with_capacity(5);
+    for _ in 0..5 {
+        let t0 = std::time::Instant::now();
+        let ladder_check = ladder();
+        let ladder_ns = t0.elapsed().as_nanos() as u64;
+        let t0 = std::time::Instant::now();
+        let heap_check = heap();
+        let heap_ns = t0.elapsed().as_nanos() as u64;
+        assert_eq!(
+            ladder_check, heap_check,
+            "ladder and heap popped different event streams"
+        );
+        ratios.push(heap_ns as f64 / ladder_ns as f64);
+        ladder_med.push(ladder_ns);
+        heap_med.push(heap_ns);
+    }
+    ratios.sort_unstable_by(|a, b| a.partial_cmp(b).expect("ratios are finite"));
+    ladder_med.sort_unstable();
+    heap_med.sort_unstable();
+    (ratios[2], ladder_med[2], heap_med[2])
 }
 
 fn main() {
@@ -175,33 +260,11 @@ fn main() {
     // Deep-queue stress: the same deep-pending workload through the ladder
     // queue and through the retained BinaryHeap oracle. The checksums must
     // match (identical pop streams — determinism is load-bearing, not just
-    // speed); the ratio is the gated speedup. Ladder and heap runs are
-    // INTERLEAVED and the gate reads the median of per-pair ratios: on a
-    // shared single-core runner the clock drifts over seconds (frequency
-    // scaling, noisy neighbours), and back-to-back pairing cancels that
-    // drift where two separate median-of-N blocks would not.
-    let mut ratios = Vec::with_capacity(5);
-    let mut ladder_med = Vec::with_capacity(5);
-    let mut heap_med = Vec::with_capacity(5);
-    for _ in 0..5 {
-        let t0 = std::time::Instant::now();
-        let ladder_check = stress_workload!(EventQueue::with_capacity(STRESS_PENDING));
-        let ladder_ns = t0.elapsed().as_nanos() as u64;
-        let t0 = std::time::Instant::now();
-        let heap_check = stress_workload!(HeapQueue::with_capacity(STRESS_PENDING));
-        let heap_ns = t0.elapsed().as_nanos() as u64;
-        assert_eq!(
-            ladder_check, heap_check,
-            "ladder and heap popped different event streams"
-        );
-        ratios.push(heap_ns as f64 / ladder_ns as f64);
-        ladder_med.push(ladder_ns);
-        heap_med.push(heap_ns);
-    }
-    ratios.sort_unstable_by(|a, b| a.partial_cmp(b).expect("ratios are finite"));
-    ladder_med.sort_unstable();
-    heap_med.sort_unstable();
-    let (ratio, ladder_ns, heap_ns) = (ratios[2], ladder_med[2], heap_med[2]);
+    // speed); the median pair ratio is the gated speedup.
+    let (ratio, ladder_ns, heap_ns) = paired_speedup(
+        || stress_workload!(EventQueue::with_capacity(STRESS_PENDING)),
+        || stress_workload!(HeapQueue::with_capacity(STRESS_PENDING)),
+    );
     let line = format!(
         "{{\"group\":\"smoke/queue_stress\",\"name\":\"deep_{STRESS_PENDING}\",\
          \"pending\":{STRESS_PENDING},\"ladder_ns\":{ladder_ns},\"heap_ns\":{heap_ns},\
@@ -210,6 +273,23 @@ fn main() {
     writeln!(f, "{line}").expect("write queue stress record");
     println!(
         "smoke/queue_stress: ladder {ladder_ns} ns vs heap {heap_ns} ns (median pair ratio {ratio:.2}x) at {STRESS_PENDING} pending"
+    );
+
+    // Burst stress: lossy floods scheduled into the band being drained,
+    // through both queues the same way. ci.sh gates the ladder at >= 1.2x
+    // the heap.
+    let (ratio, ladder_ns, heap_ns) = paired_speedup(
+        || burst_workload!(EventQueue::new()),
+        || burst_workload!(HeapQueue::new()),
+    );
+    let line = format!(
+        "{{\"group\":\"smoke/queue_burst\",\"name\":\"lossy_flood_{BURST_COPIES}\",\
+         \"timers\":{BURST_TIMERS},\"ladder_ns\":{ladder_ns},\"heap_ns\":{heap_ns},\
+         \"speedup_vs_heap\":{ratio:.3}}}"
+    );
+    writeln!(f, "{line}").expect("write queue burst record");
+    println!(
+        "smoke/queue_burst: ladder {ladder_ns} ns vs heap {heap_ns} ns (median pair ratio {ratio:.2}x), {BURST_COPIES}-copy floods"
     );
 
     // Tracing-overhead gate (A19): the same deterministic run untraced,

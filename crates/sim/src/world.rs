@@ -14,7 +14,7 @@ use crate::config::{ChaosConfig, RecoveryConfig, Scenario};
 use crate::metrics::{NodeStat, SimResult, WindowStat};
 use realtor_core::protocol::{Action, Actions, DiscoveryProtocol, LocalView, TimerToken};
 use realtor_core::Message;
-use realtor_net::{ChannelModel, CostModel, FaultState, NodeId, Sampled, Topology};
+use realtor_net::{ChannelModel, CostModel, FaultState, FloodCharge, NodeId, Sampled, Topology};
 use realtor_simcore::prelude::*;
 use realtor_simcore::trace::{attempt_span, TaskLineage};
 use realtor_simcore::Tracer;
@@ -444,8 +444,9 @@ impl World {
         let counting = self.counting(now);
         // Under the spanning-tree charge a flood costs one message per alive
         // recipient in the sender's scope; the paper's per-link charge is
-        // scope-independent. The O(scope) liveness scan only runs if a
-        // flood is actually charged, and at most once per drain.
+        // scope-independent. The O(scope) liveness scan runs only under the
+        // spanning-tree charge, only if a flood is actually charged, and at
+        // most once per drain.
         let mut scope_alive: Option<usize> = None;
         // Move the buffer out to appease the borrow checker.
         let mut actions = std::mem::take(&mut self.actions);
@@ -455,15 +456,14 @@ impl World {
                     // The flood is charged once at send time; channel loss
                     // does not refund it (the datagrams went out).
                     if counting {
-                        let alive = match scope_alive {
-                            Some(n) => n,
-                            None => {
-                                let n = 1 + (0..self.scope_len(node))
+                        let alive = match self.cost.flood_mode() {
+                            // `flood_cost` ignores the count here.
+                            FloodCharge::PerLink => 0,
+                            FloodCharge::SpanningTree => *scope_alive.get_or_insert_with(|| {
+                                1 + (0..self.scope_len(node))
                                     .filter(|&i| self.fault.is_alive(self.scope_member(node, i)))
-                                    .count();
-                                scope_alive = Some(n);
-                                n
-                            }
+                                    .count()
+                            }),
                         };
                         let c = self.cost.flood_cost(alive);
                         match msg {

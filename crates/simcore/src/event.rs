@@ -1,17 +1,26 @@
 //! The pending-event set of the discrete-event engine.
 //!
 //! Since A17 the future-event list is a **ladder queue**: a stack of
-//! timer-wheel rungs plus a sorted head run and an overflow rung, giving
-//! near-O(1) scheduling and popping while reproducing the `(time, seq)`
-//! FIFO order of the original binary heap bit-exactly (`seq` is a
-//! monotonically increasing insertion counter that breaks ties between
-//! events scheduled for the same instant):
+//! timer-wheel rungs plus a sorted head run, a late run and an overflow
+//! rung, giving near-O(1) scheduling and popping while reproducing the
+//! `(time, seq)` FIFO order of the original binary heap bit-exactly
+//! (`seq` is a monotonically increasing insertion counter that breaks
+//! ties between events scheduled for the same instant):
 //!
 //! 1. **Head run** — the band currently being drained, sorted descending
 //!    once at distillation so every pop is a `Vec::pop` off the back:
 //!    O(1), no per-pop heap sift. Its length is one band's occupancy
-//!    (typically tens of events), not the whole queue.
-//! 2. **Rung stack** — hashed timer wheels ([`crate::wheel::TimerWheel`])
+//!    (typically tens of events), not the whole queue. Nothing is ever
+//!    inserted into it after the sort.
+//! 2. **Late run** — a binary min-heap on the same `(time, seq)` key for
+//!    events scheduled *below* the sweep frontier, i.e. into the band
+//!    being drained (a lossy flood's per-recipient copies and their
+//!    replies). Every late event precedes everything still in the rungs,
+//!    so a pop takes the earlier of the two runs' fronts and distills the
+//!    next band only once both are empty. A same-instant burst of `n`
+//!    copies costs O(n log n) here, where splicing each copy into the
+//!    sorted head run shifted every copy queued before it: O(n²).
+//! 3. **Rung stack** — hashed timer wheels ([`crate::wheel::TimerWheel`])
 //!    of 256 time bands each. The outermost rung covers the whole pending
 //!    horizon; when a distilled band is oversized (more than
 //!    `SPAWN_THRESHOLD` entries spanning multiple instants) a fresh rung
@@ -23,7 +32,7 @@
 //!    outliers sit untouched in coarse outer bands. Drained rungs retire
 //!    to a spare pool and are reused, so spawning a rung allocates only
 //!    when the ladder is deeper than it has ever been.
-//! 3. **Overflow rung** — events past the outermost window wait in an
+//! 4. **Overflow rung** — events past the outermost window wait in an
 //!    unsorted vector. When the whole rung stack has drained, the
 //!    outermost rung is re-anchored over the overflow's exact span and
 //!    the rung is redistributed — each event is touched O(1) amortized
@@ -44,10 +53,11 @@
 //! vectors. An empty vector that would rotate back into a band — the
 //! scratch buffer after a distill or a rung spawn — is therefore swapped
 //! for a fresh [`RETAIN_CAP`](crate::wheel::RETAIN_CAP)-entry vector if it
-//! holds more; so is the overflow after a rebase and every vector on
-//! `clear`. Bands up to that size recycle their allocations, so while
-//! bands stay that small the queue allocates nothing; a larger band gives
-//! its block back once it drains and grows a new one when it fills again.
+//! holds more; so are the overflow after a rebase, the late run once it
+//! drains and every vector on `clear`. Bands up to that size recycle
+//! their allocations, so while bands stay that small the queue allocates
+//! nothing; a larger band gives its block back once it drains and grows a
+//! new one when it fills again.
 //! Without the cap a burst's allocation is parked in whichever band
 //! drains next, and a long run keeps its largest bursts in every band of
 //! every rung. [`EventQueue::retained_capacity`] reports the total.
@@ -60,7 +70,7 @@
 
 use crate::time::SimTime;
 use crate::wheel::{release_excess, TimerWheel, WheelEntry};
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
 /// An event together with its scheduled activation time.
@@ -101,6 +111,41 @@ fn pack_key<T>(e: &WheelEntry<T>) -> u128 {
     (u128::from(e.time.ticks()) << 64) | u128::from(e.seq)
 }
 
+/// A late-run entry, ordered by the packed key reversed: the binary heap
+/// pops its greatest element, so the earliest `(time, seq)` must compare
+/// greatest. (`Scheduled`'s two-field compare orders the same way, but the
+/// late run sifted ~20 % slower with it on `churn_recovery`'s replayed
+/// schedule/pop stream.)
+#[derive(Debug, Clone)]
+struct Late<E>(WheelEntry<E>);
+
+impl<E> Late<E> {
+    #[inline]
+    fn key(&self) -> Reverse<u128> {
+        Reverse(pack_key(&self.0))
+    }
+}
+
+impl<E> PartialEq for Late<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+impl<E> Eq for Late<E> {}
+
+impl<E> PartialOrd for Late<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<E> Ord for Late<E> {
+    #[inline]
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.key().cmp(&other.key())
+    }
+}
+
 /// A deterministic future-event list (ladder queue; see the module docs).
 ///
 /// ```
@@ -118,11 +163,15 @@ fn pack_key<T>(e: &WheelEntry<T>) -> u128 {
 pub struct EventQueue<E> {
     /// The band currently being drained, sorted **descending** by
     /// `(time, seq)` so a pop is `Vec::pop` off the back — O(1), no heap
-    /// sift. Sorted once per distilled band; the rare below-`bar` insert
-    /// splices into place.
+    /// sift. Sorted once per distilled band and only popped after that.
     head: Vec<WheelEntry<E>>,
-    /// Sweep frontier: every pending event with `time < bar` is in `head`.
-    /// Monotone over a queue's lifetime (reset only by `clear`).
+    /// Events scheduled below the sweep frontier (or below a freshly
+    /// spawned rung's base): a min-heap on the same `(time, seq)` key.
+    /// Each one precedes everything in the rungs and the overflow. Once
+    /// drained it keeps at most `RETAIN_CAP` entries of capacity.
+    late: BinaryHeap<Late<E>>,
+    /// Sweep frontier: every pending event with `time < bar` is in `head`
+    /// or `late`. Monotone over a queue's lifetime (reset only by `clear`).
     bar: SimTime,
     /// The rung stack, outermost first: each inner rung subdivides one
     /// band of its parent with 256× finer bands (spawned lazily when an
@@ -163,16 +212,6 @@ struct Rung<E> {
 /// wheel's sparse bands.
 const SPAWN_THRESHOLD: usize = 512;
 
-/// Splice `entry` into a head run kept sorted descending by key, so the
-/// earliest `(time, seq)` stays at the back (free function: callers hold
-/// field borrows on the rest of the queue).
-#[inline]
-fn head_insert<T>(head: &mut Vec<WheelEntry<T>>, entry: WheelEntry<T>) {
-    let key = pack_key(&entry);
-    let idx = head.partition_point(|e| pack_key(e) > key);
-    head.insert(idx, entry);
-}
-
 impl<E> Default for EventQueue<E> {
     fn default() -> Self {
         Self::new()
@@ -184,6 +223,7 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             head: Vec::new(),
+            late: BinaryHeap::new(),
             bar: SimTime::ZERO,
             rungs: Vec::new(),
             spare: Vec::new(),
@@ -228,18 +268,18 @@ impl<E> EventQueue<E> {
 
     /// Place `entry` on the rung that owns its time range.
     ///
-    /// Ordering argument: times `< bar` join the head heap, which sorts
+    /// Ordering argument: times `< bar` join the late run, which pops
     /// them against the band being drained. Otherwise the innermost rung
     /// whose `limit` exceeds the time takes it — by the stack invariant
     /// that rung's unswept bands cover exactly `[bar-ish, limit)`, so the
     /// band hash is exact. A time under the rung's base (possible right
-    /// after a spawn, before the bar caught up) joins the head too: it
-    /// precedes everything the rung holds and the heap orders it against
-    /// the in-flight band. Past the outermost window ⇒ overflow.
+    /// after a spawn, before the bar caught up) joins the late run too: it
+    /// precedes everything the rung holds. Past the outermost window ⇒
+    /// overflow.
     #[inline]
     fn route(&mut self, entry: WheelEntry<E>) {
         if entry.time < self.bar {
-            head_insert(&mut self.head, entry);
+            self.late.push(Late(entry));
             return;
         }
         let t = entry.time.ticks();
@@ -259,9 +299,9 @@ impl<E> EventQueue<E> {
                         // Below the rung's base (the gap between the
                         // parent band's start and the spawned child's
                         // first entry): earlier than everything any rung
-                        // holds, so the head run orders it correctly
+                        // holds, so the late run orders it correctly
                         // against the band being drained.
-                        head_insert(&mut self.head, entry);
+                        self.late.push(Late(entry));
                         return;
                     }
                 }
@@ -272,10 +312,11 @@ impl<E> EventQueue<E> {
         self.overflow.push(entry);
     }
 
-    /// Make the head heap non-empty if any event is pending: distill the
-    /// innermost rung's next band (spawning a finer rung when the band is
-    /// oversized), retiring drained rungs, and re-anchoring the outermost
-    /// rung over the overflow's span when the whole ladder has drained.
+    /// Make the head run non-empty if any rung or the overflow holds an
+    /// event (the late run is not consulted): distill the innermost rung's
+    /// next band (spawning a finer rung when the band is oversized),
+    /// retiring drained rungs, and re-anchoring the outermost rung over the
+    /// overflow's span when the whole ladder has drained.
     fn ensure_head(&mut self) {
         while self.head.is_empty() {
             let Some(rung) = self.rungs.last_mut() else {
@@ -338,8 +379,7 @@ impl<E> EventQueue<E> {
                 // wheel on the next distill). One sort per band buys O(1)
                 // pops off the back.
                 std::mem::swap(&mut self.head, band);
-                self.head
-                    .sort_unstable_by_key(|e| std::cmp::Reverse(pack_key(e)));
+                self.head.sort_unstable_by_key(|e| Reverse(pack_key(e)));
                 release_excess(&mut self.band_buf);
             }
         }
@@ -377,33 +417,76 @@ impl<E> EventQueue<E> {
         true
     }
 
+    /// True when the late run's front precedes the head run's (or the head
+    /// run is empty and the late run is not).
+    #[inline]
+    fn late_first(&self) -> bool {
+        match (self.late.peek(), self.head.last()) {
+            (Some(l), Some(h)) => pack_key(&l.0) < pack_key(h),
+            (l, _) => l.is_some(),
+        }
+    }
+
     /// Remove and return the earliest pending event.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.ensure_head();
-        let entry = self.head.pop()?;
+        if self.late.is_empty() {
+            self.ensure_head();
+        }
+        let popped = if self.late_first() {
+            let Late(e) = self.late.pop().expect("late run is non-empty");
+            if self.late.is_empty() {
+                self.release_late();
+            }
+            (e.time, e.item)
+        } else {
+            let e = self.head.pop()?;
+            (e.time, e.item)
+        };
         self.len -= 1;
-        Some((entry.time, entry.item))
+        Some(popped)
+    }
+
+    /// Empty the late run, capping its capacity at `RETAIN_CAP` entries.
+    fn release_late(&mut self) {
+        let mut late = std::mem::take(&mut self.late).into_vec();
+        late.clear();
+        release_excess(&mut late);
+        self.late = late.into();
     }
 
     /// Activation time of the earliest pending event, if any, distilling
-    /// the next band first. The engine's hot loop uses this (amortized
-    /// O(1)); [`EventQueue::peek_time`] is the read-only equivalent.
+    /// the next band first when the late run is empty. The engine's hot
+    /// loop uses this (amortized O(1)); [`EventQueue::peek_time`] is the
+    /// read-only equivalent.
     #[inline]
     pub fn next_time(&mut self) -> Option<SimTime> {
-        self.ensure_head();
-        self.head.last().map(|e| e.time)
+        if self.late.is_empty() {
+            self.ensure_head();
+        }
+        self.front_time()
+    }
+
+    /// The earlier of the head and late runs' fronts.
+    #[inline]
+    fn front_time(&self) -> Option<SimTime> {
+        if self.late_first() {
+            self.late.peek().map(|l| l.0.time)
+        } else {
+            self.head.last().map(|e| e.time)
+        }
     }
 
     /// Activation time of the earliest pending event, if any (read-only;
     /// scans the rungs without distilling).
     ///
-    /// The head (when non-empty) always holds the global minimum; with an
-    /// empty head the innermost non-empty rung does (rung ranges nest:
-    /// inner ranges precede every outer rung's unswept range), and the
-    /// overflow rung is past every window.
+    /// The earlier of the head and late runs' fronts (when either is
+    /// non-empty) is the global minimum; with both empty the innermost
+    /// non-empty rung holds it (rung ranges nest: inner ranges precede
+    /// every outer rung's unswept range), and the overflow rung is past
+    /// every window.
     pub fn peek_time(&self) -> Option<SimTime> {
-        if let Some(e) = self.head.last() {
-            return Some(e.time);
+        if let Some(t) = self.front_time() {
+            return Some(t);
         }
         for rung in self.rungs.iter().rev() {
             if let Some(t) = rung.wheel.peek_min_time() {
@@ -439,13 +522,15 @@ impl<E> EventQueue<E> {
         self.high_water
     }
 
-    /// Entries of capacity the queue holds allocated: the head run, the
-    /// distillation scratch, the overflow and every band of the live and
-    /// spare rungs. The scratch buffer and every empty band keep at most
-    /// `RETAIN_CAP` entries, so the total follows the pending events and
-    /// the high-water mark, not the largest band ever distilled.
+    /// Entries of capacity the queue holds allocated: the head and late
+    /// runs, the distillation scratch, the overflow and every band of the
+    /// live and spare rungs. The scratch buffer, a drained late run and
+    /// every empty band keep at most `RETAIN_CAP` entries, so the total
+    /// follows the pending events and the high-water mark, not the largest
+    /// band ever distilled.
     pub fn retained_capacity(&self) -> usize {
         self.head.capacity()
+            + self.late.capacity()
             + self.band_buf.capacity()
             + self.overflow.capacity()
             + self
@@ -467,6 +552,7 @@ impl<E> EventQueue<E> {
     pub fn clear(&mut self) {
         self.head.clear();
         release_excess(&mut self.head);
+        self.release_late();
         while let Some(mut rung) = self.rungs.pop() {
             rung.wheel.clear();
             self.spare.push(rung);
@@ -665,6 +751,53 @@ mod tests {
         assert_eq!(q.pop().map(|(t, _)| t), Some(SimTime::from_secs(1_000_000)));
         assert_eq!(q.pop().map(|(t, _)| t), Some(SimTime::MAX));
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn below_bar_burst_rides_the_late_run_in_fifo_order() {
+        // A lossy flood: while a 268 ms band drains, 400 copies land at one
+        // instant inside it, interleaved with pops, and every popped copy
+        // replies 1–40 ms later, still inside the band. All of it must go
+        // to the late run and pop in the heap oracle's order.
+        fn both(l: &mut EventQueue<u64>, o: &mut HeapQueue<u64>, t: SimTime, e: u64) {
+            l.schedule(t, e);
+            o.schedule(t, e);
+        }
+        let mut ladder = EventQueue::new();
+        let mut oracle = HeapQueue::new();
+        for i in 0..20 {
+            both(&mut ladder, &mut oracle, SimTime::ZERO + SimDuration::from_millis(i), i);
+        }
+        both(&mut ladder, &mut oracle, SimTime::from_secs(60), u64::MAX);
+        // The first pop distills the band [0, 2^28 ns) into the head run.
+        let mut now = ladder.pop().expect("queue holds events").0;
+        assert_eq!(oracle.pop().map(|(t, _)| t), Some(now));
+        assert!(ladder.late.is_empty());
+
+        let burst_at = now + SimDuration::from_millis(13);
+        let mut burst_order = Vec::new();
+        let mut pop_both = |ladder: &mut EventQueue<u64>, oracle: &mut HeapQueue<u64>| {
+            let popped = ladder.pop();
+            assert_eq!(popped, oracle.pop());
+            let (t, e) = popped?;
+            if (1_000..2_000).contains(&e) {
+                burst_order.push(e);
+                let reply = t + SimDuration::from_millis(1 + e * 37 % 40);
+                both(ladder, oracle, reply, e + 1_000);
+            }
+            Some(t)
+        };
+        for c in 0..400 {
+            both(&mut ladder, &mut oracle, burst_at, 1_000 + c);
+            if c % 2 == 1 {
+                now = pop_both(&mut ladder, &mut oracle).expect("events pending");
+            }
+        }
+        assert!(now < ladder.bar, "the burst landed inside the drained band");
+        assert!(!ladder.late.is_empty(), "below-bar events ride the late run");
+        while pop_both(&mut ladder, &mut oracle).is_some() {}
+        assert_eq!(burst_order, (1_000..1_400).collect::<Vec<_>>());
+        assert!(ladder.late.is_empty() && ladder.is_empty());
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //! `peek_time`, and identical `len`/`high_water`/`scheduled_total`
 //! accounting — over any interleaving of schedule/pop/peek/clear,
 //! including same-instant bursts (which exercise the wheel's batch-fired
-//! bands) and far-future outliers (which exercise the overflow rung and
-//! the window rebase).
+//! bands), below-frontier bursts and replies (which exercise the late run)
+//! and far-future outliers (which exercise the overflow rung and the
+//! window rebase).
 //!
 //! The same scripts check the ladder's footprint: after every operation
 //! the capacity it keeps allocated stays within [`retained_bound`], so
@@ -33,6 +34,12 @@ enum Op {
     /// the cursor, like the deliveries of one flood across a mesh: a band
     /// large enough to spawn an inner rung.
     Flood { count: usize, spacing: u64 },
+    /// Pop once, then schedule `count` events at one instant `offset`
+    /// ticks (a few ms) past the cursor and `count / 2` replies spread
+    /// over 1–40 ms past it, like a lossy flood's per-recipient copies and
+    /// their PLEDGEs: when the band being drained is wide they land below
+    /// its frontier, in the late run, in an order that is not time order.
+    LateBurst { offset: u64, count: usize },
     /// Pop one event from both queues and compare.
     Pop,
     /// Pop both queues empty, comparing every event.
@@ -65,20 +72,25 @@ fn gen_op(r: &mut SimRng) -> Op {
         },
         55..=57 => Op::Drain,
         58..=84 => Op::Pop,
-        85..=97 => Op::Peek,
+        85..=93 => Op::Peek,
+        94..=97 => Op::LateBurst {
+            offset: gen::u64_in(r, 1_000_000, 5_000_000),
+            count: gen::usize_in(r, 200, 600),
+        },
         _ => Op::Clear,
     }
 }
 
 /// The most capacity, in entries, the ladder may keep allocated. The
 /// scratch buffer and every empty band hold at most `RETAIN_CAP`. The head
-/// run, the overflow and each non-empty band hold at most `RETAIN_CAP` or
-/// twice the most entries their vector has held since it was last empty,
-/// whichever is larger. The overflow and the bands only grow until they
-/// drain, so those entries are still pending: at most `len` in all. The
-/// head's are at most `high_water`.
+/// and late runs, the overflow and each non-empty band hold at most
+/// `RETAIN_CAP` or twice the most entries their vector has held since it
+/// was last empty, whichever is larger. The overflow and the bands only
+/// grow until they drain, so those entries are still pending: at most
+/// `len` in all. The head's and the late run's are at most `high_water`
+/// each.
 fn retained_bound<E>(q: &EventQueue<E>) -> usize {
-    2 * (q.high_water() + q.len()) + (BUCKETS * q.rungs_allocated() + 3) * RETAIN_CAP
+    2 * (2 * q.high_water() + q.len()) + (BUCKETS * q.rungs_allocated() + 4) * RETAIN_CAP
 }
 
 #[test]
@@ -123,6 +135,27 @@ fn ladder_queue_matches_heap_oracle() {
                         for i in 0..count as u64 {
                             let t =
                                 SimTime::from_ticks(cursor.saturating_add(spacing * (i * 37 % 80)));
+                            ladder.schedule(t, payload);
+                            oracle.schedule(t, payload);
+                            payload += 1;
+                        }
+                    }
+                    Op::LateBurst { offset, count } => {
+                        let a = ladder.pop();
+                        let b = oracle.pop();
+                        prop_assert_eq!(a, b, "pop streams diverged");
+                        if let Some((t, _)) = a {
+                            cursor = t.ticks();
+                        }
+                        let t = SimTime::from_ticks(cursor.saturating_add(offset));
+                        for _ in 0..count {
+                            ladder.schedule(t, payload);
+                            oracle.schedule(t, payload);
+                            payload += 1;
+                        }
+                        for i in 0..count as u64 / 2 {
+                            let ms = 1 + i * 37 % 40;
+                            let t = SimTime::from_ticks(cursor.saturating_add(ms * 1_000_000));
                             ladder.schedule(t, payload);
                             oracle.schedule(t, payload);
                             payload += 1;
