@@ -3,8 +3,8 @@
 //! sampling.
 
 use realtor_bench::Runner;
-use realtor_core::protocol::{Actions, DiscoveryProtocol, LocalView};
-use realtor_core::{Message, Pledge, ProtocolConfig, Realtor};
+use realtor_core::protocol::{Actions, LocalView};
+use realtor_core::{Message, Pledge, ProtocolConfig, ProtocolKind};
 use realtor_net::{Routing, Topology};
 use realtor_simcore::{EventQueue, SimRng, SimTime};
 
@@ -28,7 +28,7 @@ fn event_queue(runner: &mut Runner) {
 fn protocol_step(runner: &mut Runner) {
     let mut group = runner.group("micro/protocol");
     group.bench_function("realtor_pledge_handling_1k", || {
-        let mut r = Realtor::new(0, ProtocolConfig::paper());
+        let mut r = ProtocolKind::Realtor.build(0, ProtocolConfig::paper(), &Vec::new(), 0.0);
         let mut out = Actions::new();
         let view = LocalView::new(5.0, 100.0);
         for i in 1..=1_000usize {

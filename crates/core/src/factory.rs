@@ -1,13 +1,14 @@
 //! Protocol selection and construction.
 
-use crate::baselines::{AdaptivePull, AdaptivePush, PurePull, PurePush};
 use crate::config::ProtocolConfig;
+use crate::discovery::{Discovery, Push, Settings};
+use crate::help::HelpMode;
 use crate::protocol::DiscoveryProtocol;
-use crate::realtor::Realtor;
 use realtor_net::NodeId;
 use std::sync::Arc;
 
-/// The five protocols compared in the paper's Figures 5–8.
+/// The five protocols compared in the paper's Figures 5–8: presets of the
+/// one [`crate::discovery`] state machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProtocolKind {
     /// `Pull-.9` — pure PULL.
@@ -38,13 +39,24 @@ impl ProtocolKind {
 
     /// The paper's curve label for this protocol.
     pub fn label(self) -> &'static str {
-        match self {
-            ProtocolKind::PurePull => "Pull-.9",
-            ProtocolKind::PurePush => "Push-1",
-            ProtocolKind::AdaptivePush => "Push-.9",
-            ProtocolKind::AdaptivePull => "Pull-100",
-            ProtocolKind::Realtor => "REALTOR-100",
-        }
+        self.preset().0
+    }
+
+    /// The preset table: each protocol's label and machine settings.
+    pub(crate) fn preset(self) -> (&'static str, Settings) {
+        let (label, pull, push, membership) = match self {
+            ProtocolKind::PurePull => ("Pull-.9", Some(HelpMode::Unlimited), None, false),
+            ProtocolKind::PurePush => ("Push-1", None, Some(Push::Periodic), false),
+            ProtocolKind::AdaptivePush => ("Push-.9", None, Some(Push::OnCrossing), false),
+            ProtocolKind::AdaptivePull => ("Pull-100", Some(HelpMode::Adaptive), None, false),
+            ProtocolKind::Realtor => ("REALTOR-100", Some(HelpMode::Adaptive), None, true),
+        };
+        let settings = Settings {
+            pull,
+            push,
+            membership,
+        };
+        (label, settings)
     }
 
     /// Parse a label or shorthand name (case-insensitive).
@@ -62,10 +74,10 @@ impl ProtocolKind {
     /// Build an instance of this protocol for `node`.
     ///
     /// `peers` lists the world's nodes: its length sizes the per-node
-    /// tables once (see `realtor_net::IdMap`). Only the adaptive-push
-    /// baseline keeps the list itself, together with `capacity_secs`, each
-    /// peer's queue capacity (its "silence means unchanged" semantics needs
-    /// an optimistic prior — see `baselines::adaptive_push`). Pass an
+    /// tables once (see `realtor_net::IdMap`). Only adaptive push keeps the
+    /// list itself, together with `capacity_secs`, each peer's queue
+    /// capacity (its "silence means unchanged" semantics needs an
+    /// optimistic prior — see [`crate::discovery`]). Pass an
     /// `Arc<[NodeId]>` built once per world to share one list among all
     /// instances; any other list is copied into each one.
     pub fn build<P>(
@@ -78,21 +90,7 @@ impl ProtocolKind {
     where
         P: AsRef<[NodeId]> + Clone + Into<Arc<[NodeId]>>,
     {
-        let nodes = peers.as_ref().len();
-        match self {
-            ProtocolKind::PurePull => Box::new(PurePull::with_id_capacity(node, cfg, nodes)),
-            ProtocolKind::PurePush => Box::new(PurePush::with_id_capacity(node, cfg, nodes)),
-            ProtocolKind::AdaptivePush => Box::new(AdaptivePush::new(
-                node,
-                cfg,
-                peers.clone().into(),
-                capacity_secs,
-            )),
-            ProtocolKind::AdaptivePull => {
-                Box::new(AdaptivePull::with_id_capacity(node, cfg, nodes))
-            }
-            ProtocolKind::Realtor => Box::new(Realtor::with_id_capacity(node, cfg, nodes)),
-        }
+        Box::new(Discovery::new(self, node, cfg, peers, capacity_secs))
     }
 }
 

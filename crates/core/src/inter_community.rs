@@ -12,11 +12,12 @@
 //! relays per organizer, and no relay state survives a reset.
 
 use crate::config::ProtocolConfig;
+use crate::discovery::Discovery;
+use crate::factory::ProtocolKind;
 use crate::message::{Help, Message};
 use crate::protocol::{Actions, DiscoveryProtocol, Introspection, LocalView, TimerToken};
-use crate::realtor::Realtor;
 use realtor_net::NodeId;
-use realtor_simcore::{SimDuration, SimTime};
+use realtor_simcore::{SimDuration, SimTime, Tracer};
 
 /// Identifier of a node group.
 pub type GroupId = usize;
@@ -149,12 +150,12 @@ impl GroupMap {
 
 /// REALTOR with inter-community gateway relaying.
 ///
-/// Wraps a flat [`Realtor`] instance; all community behaviour is delegated,
+/// Wraps a flat REALTOR instance; all community behaviour is delegated,
 /// and the wrapper adds (a) a nonzero `relay_ttl` on originated HELPs and
 /// (b) gateway re-flooding of urgent foreign HELPs.
 #[derive(Debug)]
 pub struct InterCommunityRealtor {
-    inner: Realtor,
+    inner: Discovery,
     is_gateway: bool,
     relay_ttl: u8,
     /// Relay only HELPs at least this urgent.
@@ -178,18 +179,13 @@ impl InterCommunityRealtor {
         relay_urgency: f64,
     ) -> Self {
         InterCommunityRealtor {
-            inner: Realtor::new(me, cfg),
+            inner: Discovery::new(ProtocolKind::Realtor, me, cfg, &Vec::new(), 0.0),
             is_gateway,
             relay_ttl,
             relay_urgency,
             relay_spacing: SimDuration::from_secs(5),
             recently_relayed: Default::default(),
         }
-    }
-
-    /// The wrapped flat REALTOR (diagnostics).
-    pub fn inner(&self) -> &Realtor {
-        &self.inner
     }
 }
 
@@ -279,6 +275,10 @@ impl DiscoveryProtocol for InterCommunityRealtor {
     fn introspect(&self, now: SimTime) -> Introspection {
         self.inner.introspect(now)
     }
+
+    fn set_tracer(&mut self, tracer: Tracer) {
+        self.inner.set_tracer(tracer);
+    }
 }
 
 #[cfg(test)]
@@ -337,6 +337,18 @@ mod tests {
             _ => None,
         });
         assert_eq!(ttl, Some(2));
+    }
+
+    #[test]
+    fn attached_tracer_reaches_the_inner_machine() {
+        use realtor_simcore::trace::TraceKind;
+        let tracer = Tracer::bounded(16);
+        let mut p = InterCommunityRealtor::new(0, ProtocolConfig::paper(), false, 1, 0.0);
+        p.set_tracer(tracer.clone());
+        p.on_task_arrival(at(0.0), view(5.0), &mut Actions::new());
+        let events = tracer.snapshot().events;
+        let floods = events.iter().filter(|e| e.kind == TraceKind::HelpFlood);
+        assert_eq!(floods.count(), 1, "the overloaded arrival's HELP flood");
     }
 
     #[test]

@@ -3,15 +3,16 @@
 //! Faithful implementation of the protocol proposed in *"Dynamic Resource
 //! Discovery for Applications Survivability in Distributed Real-Time
 //! Systems"* (Choi, Rho, Bettati — IPDPS 2003), together with the four
-//! baselines the paper compares against:
+//! baselines the paper compares against. All five are presets of one state
+//! machine, [`discovery`], selected by [`ProtocolKind`]:
 //!
-//! | label | kind | module |
-//! |---|---|---|
-//! | `Pull-.9`     | pure PULL      | [`baselines::pure_pull`] |
-//! | `Push-1`      | pure PUSH      | [`baselines::pure_push`] |
-//! | `Push-.9`     | adaptive PUSH  | [`baselines::adaptive_push`] |
-//! | `Pull-100`    | adaptive PULL  | [`baselines::adaptive_pull`] |
-//! | `REALTOR-100` | combined       | [`realtor`] |
+//! | label | kind | pull | push | membership |
+//! |---|---|---|---|---|
+//! | `Pull-.9`     | pure PULL     | unlimited | off | off |
+//! | `Push-1`      | pure PUSH     | off | periodic | off |
+//! | `Push-.9`     | adaptive PUSH | off | on crossing | off |
+//! | `Pull-100`    | adaptive PULL | adaptive | off | off |
+//! | `REALTOR-100` | combined      | adaptive | off | on |
 //!
 //! Building blocks:
 //! * [`help`] — Algorithm H, the adaptive HELP-interval controller,
@@ -22,15 +23,15 @@
 //! * [`protocol`] — the event-driven [`DiscoveryProtocol`] trait that lets
 //!   the same protocol code run under the discrete-event simulator
 //!   (`realtor-sim`) and the thread-per-host runtime (`realtor-agile`),
-//! * [`factory`] — [`ProtocolKind`] selection,
+//! * [`factory`] — [`ProtocolKind`] selection and the preset table,
 //! * [`resources`] — the multi-resource extension (paper footnote 3),
 //! * [`inter_community`] — the inter-neighbor-group extension (paper §7).
 
 #![warn(missing_docs)]
 
-pub mod baselines;
 pub mod community;
 pub mod config;
+pub mod discovery;
 pub mod factory;
 pub mod failure;
 pub mod help;
@@ -38,7 +39,6 @@ pub mod inter_community;
 pub mod message;
 pub mod pledge;
 pub mod protocol;
-pub mod realtor;
 pub mod resources;
 
 pub use config::{CandidatePolicy, ProtocolConfig};
@@ -46,4 +46,3 @@ pub use factory::ProtocolKind;
 pub use failure::{FailureDetector, FailureDetectorConfig, PeerState};
 pub use message::{Advert, Help, Message, Pledge};
 pub use protocol::{Action, Actions, DiscoveryProtocol, LocalView, TimerToken};
-pub use realtor::Realtor;

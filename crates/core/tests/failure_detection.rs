@@ -6,7 +6,7 @@
 //! nothing over plain soft state.
 
 use realtor_core::protocol::{Action, Actions, DiscoveryProtocol, LocalView};
-use realtor_core::realtor::DETECTOR_TIMER_TOKEN;
+use realtor_core::discovery::DETECTOR_TIMER_TOKEN;
 use realtor_core::{
     FailureDetectorConfig, Help, Message, Pledge, ProtocolConfig, ProtocolKind,
 };

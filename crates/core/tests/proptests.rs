@@ -5,7 +5,7 @@ use realtor_core::community::MembershipTable;
 use realtor_core::config::{CandidatePolicy, ProtocolConfig};
 use realtor_core::help::{HelpController, HelpDecision, HelpMode};
 use realtor_core::pledge::{AvailabilityStore, Crossing, PledgePolicy};
-use realtor_core::{Action, Actions, DiscoveryProtocol, Help, LocalView, Message, Realtor};
+use realtor_core::{Action, Actions, Help, LocalView, Message, ProtocolKind};
 use realtor_simcore::prelude::*;
 use realtor_simcore::{prop_assert, prop_assert_eq, prop_assert_ne};
 use std::collections::BTreeMap;
@@ -353,7 +353,7 @@ fn membership_count_edge_cases() {
 fn pledge_community_count_survives_duplicate_helps() {
     let cfg = cfg();
     let ttl = cfg.membership_ttl;
-    let mut member = Realtor::new(9, cfg);
+    let mut member = ProtocolKind::Realtor.build(9, cfg, &Vec::new(), 0.0);
     let mut heard: BTreeMap<usize, SimTime> = BTreeMap::new();
     let help = |organizer| {
         Message::Help(Help {

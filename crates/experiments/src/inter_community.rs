@@ -9,7 +9,7 @@
 
 use crate::output::{emit, OutDir};
 use realtor_core::inter_community::{GroupMap, InterCommunityRealtor};
-use realtor_core::{ProtocolKind, Realtor};
+use realtor_core::ProtocolKind;
 use realtor_net::Topology;
 use realtor_sim::{run_scenario_with, Scenario, World};
 use realtor_simcore::table::{Cell, Table};
@@ -32,7 +32,7 @@ pub fn run(side: usize, tile: usize, lambda: f64, horizon_secs: u64, seed: u64, 
 
     // Flat REALTOR: every flood reaches all nodes.
     let flat = run_scenario_with(&base(ProtocolKind::Realtor), &mut |node| {
-        Box::new(Realtor::new(node, realtor_core::ProtocolConfig::paper()))
+        ProtocolKind::Realtor.build(node, realtor_core::ProtocolConfig::paper(), &Vec::new(), 0.0)
     });
 
     // Inter-community REALTOR: scoped floods plus designated gateway relays

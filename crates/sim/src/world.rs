@@ -218,6 +218,9 @@ pub struct World {
     /// Populated only while tracing is enabled and read only to annotate
     /// trace events, so it can never perturb simulation behaviour.
     task_lineages: Vec<u64>,
+    /// HELP and PLEDGE messages each node has sent since warm-up: the
+    /// traffic the adaptive adversary observes to pick its victims.
+    sent_traffic: Vec<u64>,
     /// Chaos processes (disabled in the golden configuration).
     chaos: ChaosConfig,
     /// The continuous-churn driver, when configured. Owns its own RNG
@@ -305,17 +308,10 @@ impl World {
             next_task_id: 0,
             kill_times: vec![None; n],
             orphans: BTreeMap::new(),
-            // The adaptive adversary reads per-node traffic counters out of
-            // the trace registry (its only information source — no oracle),
-            // so it force-enables an internal tracer. Tracing is strictly
-            // observational, so this cannot change simulation behaviour.
-            tracer: if scenario.chaos.adversary.is_some() {
-                Tracer::bounded(64)
-            } else {
-                Tracer::disabled()
-            },
+            tracer: Tracer::disabled(),
             watermarks: vec![0.0; n],
             task_lineages: Vec::new(),
+            sent_traffic: vec![0; n],
             chaos: scenario.chaos,
             churn: scenario
                 .chaos
@@ -327,18 +323,11 @@ impl World {
     /// Install a structured-trace handle on the world and every protocol
     /// instance. Call before [`World::prime`]. The tracer observes; it never
     /// draws randomness or schedules events, so traced runs stay bit-exact.
-    ///
-    /// With an adaptive adversary configured the world keeps its internal
-    /// observation tracer rather than accepting a disabled one (the
-    /// adversary would otherwise go blind); any *enabled* tracer replaces
-    /// it and feeds the adversary identically, since counters are counters.
     pub fn set_tracer(&mut self, tracer: Tracer) {
         for proto in &mut self.protos {
             proto.set_tracer(tracer.clone());
         }
-        if tracer.is_enabled() || self.chaos.adversary.is_none() {
-            self.tracer = tracer;
-        }
+        self.tracer = tracer;
     }
 
     /// Sample the channel for one `src → dst` delivery. The ideal channel
@@ -471,6 +460,7 @@ impl World {
                                 self.result.ledger.charge_help(c);
                                 self.tracer.count("msg_help", 1);
                                 self.tracer.count_node("sent_help", node, 1);
+                                self.sent_traffic[node] += 1;
                             }
                             Message::Advert(_) => {
                                 self.result.ledger.charge_push(c);
@@ -480,6 +470,7 @@ impl World {
                                 self.result.ledger.charge_pledge(c);
                                 self.tracer.count("msg_pledge", 1);
                                 self.tracer.count_node("sent_pledge", node, 1);
+                                self.sent_traffic[node] += 1;
                             }
                         }
                     }
@@ -541,6 +532,7 @@ impl World {
                                 self.result.ledger.charge_pledge(c);
                                 self.tracer.count("msg_pledge", 1);
                                 self.tracer.count_node("sent_pledge", node, 1);
+                                self.sent_traffic[node] += 1;
                             }
                             Message::Advert(_) => {
                                 self.result.ledger.charge_push(c);
@@ -550,6 +542,7 @@ impl World {
                                 self.result.ledger.charge_help(c);
                                 self.tracer.count("msg_help", 1);
                                 self.tracer.count_node("sent_help", node, 1);
+                                self.sent_traffic[node] += 1;
                             }
                         }
                     }
@@ -1628,20 +1621,16 @@ impl World {
     }
 
     /// The adaptive adversary strikes: rank alive nodes by the pledge/help
-    /// traffic it has *observed* (the A14 per-node trace counters — no
-    /// oracle access to queue state or protocol internals) and kill the
-    /// top talkers. Victims come back after the configured downtime.
+    /// traffic it has *observed* (messages sent — no oracle access to queue
+    /// state or protocol internals) and kill the top talkers. Victims come
+    /// back after the configured downtime.
     fn handle_adversary_strike(&mut self, now: SimTime, ctx: &mut Context<'_, Ev>) {
         let Some(adv) = self.chaos.adversary else {
             return;
         };
         let mut ranked: Vec<(std::cmp::Reverse<u64>, NodeId)> = (0..self.node_count())
             .filter(|&n| self.fault.is_alive(n))
-            .map(|n| {
-                let score = self.tracer.node_counter("sent_pledge", n)
-                    + self.tracer.node_counter("sent_help", n);
-                (std::cmp::Reverse(score), n)
-            })
+            .map(|n| (std::cmp::Reverse(self.sent_traffic[n]), n))
             .collect();
         ranked.sort(); // most-observed first, stable id tie-break
         let victims: Vec<NodeId> = ranked.into_iter().take(adv.kills).map(|(_, n)| n).collect();

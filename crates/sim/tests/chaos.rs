@@ -191,9 +191,8 @@ fn chaos_none_is_bit_exact_with_baseline() {
 
 /// The adaptive adversary: strikes kill exactly `kills` alive nodes chosen
 /// from observed traffic, victims return after the downtime, runs are
-/// deterministic — and the internal observation tracer's buffer capacity
-/// never changes the decisions (counters, not buffered events, drive the
-/// ranking).
+/// deterministic — and an attached tracer never changes the decisions,
+/// whatever its capacity and whatever it has already recorded.
 #[test]
 fn adversary_strikes_are_bounded_deterministic_and_capacity_free() {
     let adv = AdversaryConfig {
@@ -225,9 +224,15 @@ fn adversary_strikes_are_bounded_deterministic_and_capacity_free() {
         r.tasks_interrupted > 0,
         "strikes against top talkers must interrupt queued work"
     );
-    // Determinism, and independence from the attached tracer's capacity:
-    // the adversary reads the counter registry, which is unbounded, so a
-    // huge externally-attached tracer must reproduce the same run.
+    // Determinism, and independence from the attached tracer: a huge one
+    // must reproduce the same run, and so must a tracer shared with an
+    // earlier world, whose counters already hold that world's traffic.
     assert!(run_scenario(&scenario) == r);
     assert!(run_scenario_traced(&scenario, Tracer::bounded(1_000_000)) == r);
+    let shared = Tracer::bounded(1_000);
+    assert!(run_scenario_traced(&scenario, shared.clone()) == r);
+    assert!(
+        run_scenario_traced(&scenario, shared) == r,
+        "a second run on a shared tracer must match a run alone"
+    );
 }

@@ -82,7 +82,7 @@ pub mod prelude {
     pub use crate::engine::{Context, Engine, Handler, RunOutcome};
     pub use crate::event::EventQueue;
     pub use crate::rng::SimRng;
-    pub use crate::stats::{Counter, Histogram, LogHistogram, TimeWeighted, Welford};
+    pub use crate::stats::{Counter, LogHistogram, TimeWeighted, Welford};
     pub use crate::table::{Cell, Table};
     pub use crate::time::{SimDuration, SimTime};
     pub use crate::trace::{TraceEvent, TraceKind, TraceValue, Tracer};

@@ -198,90 +198,6 @@ impl TimeWeighted {
     }
 }
 
-/// A fixed-width linear histogram over `[lo, hi)` with overflow/underflow bins.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    bins: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-    total: u64,
-}
-
-impl Histogram {
-    /// Create a histogram with `nbins` equal bins covering `[lo, hi)`.
-    pub fn new(lo: f64, hi: f64, nbins: usize) -> Self {
-        assert!(hi > lo && nbins > 0, "invalid histogram bounds");
-        Histogram {
-            lo,
-            hi,
-            bins: vec![0; nbins],
-            underflow: 0,
-            overflow: 0,
-            total: 0,
-        }
-    }
-
-    /// Record one observation.
-    pub fn record(&mut self, x: f64) {
-        self.total += 1;
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let w = (self.hi - self.lo) / self.bins.len() as f64;
-            let i = ((x - self.lo) / w) as usize;
-            let i = i.min(self.bins.len() - 1);
-            self.bins[i] += 1;
-        }
-    }
-
-    /// Total number of observations recorded (including out-of-range).
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-
-    /// Observations below `lo` / at or above `hi`.
-    pub fn out_of_range(&self) -> (u64, u64) {
-        (self.underflow, self.overflow)
-    }
-
-    /// Approximate `q`-quantile (`0 <= q <= 1`) by linear interpolation within
-    /// the containing bin. `NaN` when empty.
-    pub fn quantile(&self, q: f64) -> f64 {
-        if self.total == 0 {
-            return f64::NAN;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let target = q * self.total as f64;
-        let mut seen = self.underflow as f64;
-        if seen >= target && self.underflow > 0 {
-            return self.lo;
-        }
-        let w = (self.hi - self.lo) / self.bins.len() as f64;
-        for (i, &c) in self.bins.iter().enumerate() {
-            let next = seen + c as f64;
-            if next >= target && c > 0 {
-                let frac = if c == 0 {
-                    0.0
-                } else {
-                    (target - seen) / c as f64
-                };
-                return self.lo + w * (i as f64 + frac.clamp(0.0, 1.0));
-            }
-            seen = next;
-        }
-        self.hi
-    }
-
-    /// Per-bin counts.
-    pub fn bins(&self) -> &[u64] {
-        &self.bins
-    }
-}
-
 /// Sub-bucket resolution bits of [`LogHistogram`]: 2^6 = 64 sub-buckets
 /// per power-of-two octave.
 const LOG_HIST_SUB_BITS: u32 = 6;
@@ -567,29 +483,6 @@ mod tests {
         // continuing at 0 halves the mean again
         let m = tw.mean(SimTime::from_secs(40));
         assert!((m - 2.5).abs() < 1e-12, "mean {m}");
-    }
-
-    #[test]
-    fn histogram_quantiles() {
-        let mut h = Histogram::new(0.0, 100.0, 100);
-        for i in 0..100 {
-            h.record(i as f64 + 0.5);
-        }
-        assert_eq!(h.count(), 100);
-        let med = h.quantile(0.5);
-        assert!((med - 50.0).abs() <= 1.0, "median {med}");
-        let p90 = h.quantile(0.9);
-        assert!((p90 - 90.0).abs() <= 1.0, "p90 {p90}");
-    }
-
-    #[test]
-    fn histogram_out_of_range() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        h.record(-1.0);
-        h.record(100.0);
-        h.record(5.0);
-        assert_eq!(h.out_of_range(), (1, 1));
-        assert_eq!(h.count(), 3);
     }
 
     #[test]

@@ -121,31 +121,6 @@ fn welford_merge_associative() {
     );
 }
 
-/// Histogram quantiles are monotone in q and within [lo, hi].
-#[test]
-fn histogram_quantile_monotone() {
-    forall(
-        "histogram_quantile_monotone",
-        0x51AC05,
-        256,
-        |r| gen::vec(r, 1, 300, |r| gen::f64_in(r, 0.0, 100.0)),
-        |xs| {
-            let mut h = Histogram::new(0.0, 100.0, 20);
-            for &x in xs {
-                h.record(x);
-            }
-            let mut prev = f64::NEG_INFINITY;
-            for i in 0..=10 {
-                let q = h.quantile(i as f64 / 10.0);
-                prop_assert!(q >= prev - 1e-9, "quantile not monotone");
-                prop_assert!((0.0..=100.0).contains(&q));
-                prev = q;
-            }
-            Ok(())
-        },
-    );
-}
-
 /// Exponential samples are positive and finite for any seed and mean.
 #[test]
 fn exp_sampler_positive() {

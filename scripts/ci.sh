@@ -17,7 +17,9 @@
 #      capacity for its pending events only); churn_recovery must match
 #      its digests too, the only workload that runs FaultState rebuilds,
 #      per-recipient lossy floods and the failure-detector table, and its
-#      peak RSS must stay within 25 MB
+#      peak RSS must stay within 25 MB; paper_mesh must match its digests
+#      too, the only workload that runs all five protocol presets, and its
+#      peak RSS must stay within 15 MB
 #   5. clippy (gated: skipped with a notice if the component is absent)
 #   6. bench smoke run -> results/bench_smoke.json, gated against the
 #      committed results/bench_baseline.json: engine events/sec must not
@@ -107,6 +109,9 @@ perfbench_smoke mesh_scale 80
 
 say "perfbench correctness smoke (churn_recovery, stored digests, RSS budget)"
 perfbench_smoke churn_recovery 25
+
+say "perfbench correctness smoke (paper_mesh, all five protocols, stored digests, RSS budget)"
+perfbench_smoke paper_mesh 15
 
 say "clippy"
 if cargo clippy --version >/dev/null 2>&1; then
