@@ -22,9 +22,7 @@ use crate::supervisor::{
     file_interrupts, recover_item, AdmissionDirectory, ClusterLedger, RecoveryItem,
     SupervisorConfig,
 };
-use crate::transport::{
-    request_channel, Network, DEFAULT_MAILBOX_CAPACITY,
-};
+use crate::transport::{request_channel, Network, DEFAULT_MAILBOX_CAPACITY};
 use realtor_simcore::metrics::MetricsSnapshot;
 use realtor_simcore::stats::LogHistogram;
 use realtor_simcore::trace::{TraceKind, TraceValue, Tracer};
@@ -279,7 +277,11 @@ fn launch_host(
         recovery,
         ledger,
         tracer,
-        retry_rng: SimRng::indexed_stream(cfg.seed, "host-retry", ((epoch & 0xff) << 32) | id as u64),
+        retry_rng: SimRng::indexed_stream(
+            cfg.seed,
+            "host-retry",
+            ((epoch & 0xff) << 32) | id as u64,
+        ),
         component_epoch: epoch,
     };
     let handle = std::thread::Builder::new()
@@ -315,7 +317,11 @@ fn supervise(inner: &ClusterInner, stop: &AtomicBool) {
             if stop.load(Relaxed) {
                 // Shutdown raced in: hand the item back so shutdown can
                 // settle it as destroyed instead of dropping it.
-                inner.recovery.lock().expect("recovery queue lock").push(item);
+                inner
+                    .recovery
+                    .lock()
+                    .expect("recovery queue lock")
+                    .push(item);
                 continue;
             }
             recover_item(
@@ -360,11 +366,11 @@ fn supervise(inner: &ClusterInner, stop: &AtomicBool) {
             };
             if died {
                 let now = inner.clock.now();
-                let items = rt
-                    .core
-                    .lock()
-                    .expect("core lock")
-                    .drain_on_death(now, id, &inner.naming);
+                let items =
+                    rt.core
+                        .lock()
+                        .expect("core lock")
+                        .drain_on_death(now, id, &inner.naming);
                 file_interrupts(
                     items,
                     &inner.ledger,
@@ -448,9 +454,8 @@ impl Cluster {
         let naming = NameService::new();
         // Placeholder clients (their server halves are dropped, so they
         // answer Closed); launch_host installs the real ones.
-        let directory = AdmissionDirectory::new(
-            (0..cfg.hosts).map(|_| request_channel().0).collect(),
-        );
+        let directory =
+            AdmissionDirectory::new((0..cfg.hosts).map(|_| request_channel().0).collect());
         let ledger = Arc::new(ClusterLedger::default());
         let recovery = Arc::new(Mutex::new(Vec::new()));
         let slots: Vec<Slot> = (0..cfg.hosts)
@@ -526,7 +531,11 @@ impl Cluster {
 
     /// Amnesiac restarts performed so far.
     pub fn restarts(&self) -> u64 {
-        self.inner.slots.iter().map(|s| s.restarts.load(Relaxed)).sum()
+        self.inner
+            .slots
+            .iter()
+            .map(|s| s.restarts.load(Relaxed))
+            .sum()
     }
 
     /// A point-in-time [`MetricsSnapshot`] of the running cluster: ledger
@@ -539,13 +548,41 @@ impl Cluster {
         let inner = &*self.inner;
         let mut snap = MetricsSnapshot::new(inner.clock.now().as_secs_f64());
         let ledger = &inner.ledger;
-        snap.push_counter("agile_interrupted_total", None, ledger.interrupted.load(Relaxed));
-        snap.push_counter("agile_recovered_total", None, ledger.recovered.load(Relaxed));
-        snap.push_counter("agile_destroyed_total", None, ledger.destroyed.load(Relaxed));
-        snap.push_counter("agile_recovery_tries_total", None, ledger.recovery_tries.load(Relaxed));
-        snap.push_counter("agile_datagrams_dropped_total", None, inner.network.dropped_count());
-        snap.push_counter("agile_datagrams_shed_total", None, inner.network.shed_count());
-        snap.push_counter("agile_admissions_shed_total", None, inner.directory.shed_total());
+        snap.push_counter(
+            "agile_interrupted_total",
+            None,
+            ledger.interrupted.load(Relaxed),
+        );
+        snap.push_counter(
+            "agile_recovered_total",
+            None,
+            ledger.recovered.load(Relaxed),
+        );
+        snap.push_counter(
+            "agile_destroyed_total",
+            None,
+            ledger.destroyed.load(Relaxed),
+        );
+        snap.push_counter(
+            "agile_recovery_tries_total",
+            None,
+            ledger.recovery_tries.load(Relaxed),
+        );
+        snap.push_counter(
+            "agile_datagrams_dropped_total",
+            None,
+            inner.network.dropped_count(),
+        );
+        snap.push_counter(
+            "agile_datagrams_shed_total",
+            None,
+            inner.network.shed_count(),
+        );
+        snap.push_counter(
+            "agile_admissions_shed_total",
+            None,
+            inner.directory.shed_total(),
+        );
         snap.push_gauge("agile_live_components", None, inner.naming.len() as f64);
         for (id, slot) in inner.slots.iter().enumerate() {
             let s = &slot.stats;
@@ -556,7 +593,11 @@ impl Cluster {
                 s.admitted_local.load(Relaxed) + s.admitted_migrated.load(Relaxed),
             );
             snap.push_counter("agile_rejected_total", Some(id), s.rejected.load(Relaxed));
-            snap.push_counter("agile_restarts_total", Some(id), slot.restarts.load(Relaxed));
+            snap.push_counter(
+                "agile_restarts_total",
+                Some(id),
+                slot.restarts.load(Relaxed),
+            );
             snap.push_gauge(
                 "agile_mailbox_depth",
                 Some(id),
@@ -589,7 +630,10 @@ impl Cluster {
     /// [`Cluster::quiesce`] relies on. Returns false if the host's control
     /// channel is gone (its thread ended and was not restarted).
     fn send_control(&self, host: usize, msg: HostControl) -> bool {
-        let rt = self.inner.slots[host].runtime.lock().expect("slot runtime lock");
+        let rt = self.inner.slots[host]
+            .runtime
+            .lock()
+            .expect("slot runtime lock");
         rt.control_pending.fetch_add(1, Relaxed);
         if rt.control.send(msg).is_err() {
             rt.control_pending.fetch_sub(1, Relaxed);
@@ -731,7 +775,12 @@ impl Cluster {
             let busy = self.inner.network.in_flight() > 0
                 || self.inner.directory.in_flight_total() > 0
                 || self.pending_controls() > 0
-                || !self.inner.recovery.lock().expect("recovery queue lock").is_empty();
+                || !self
+                    .inner
+                    .recovery
+                    .lock()
+                    .expect("recovery queue lock")
+                    .is_empty();
             if busy {
                 quiet_since = None;
             } else if quiet_since.get_or_insert_with(Instant::now).elapsed() >= grace {
@@ -802,11 +851,11 @@ impl Cluster {
                 // A host that did not stop cleanly never interrupted its own
                 // queue; settle its resident work through the ledger.
                 let now = inner.clock.now();
-                let items = rt
-                    .core
-                    .lock()
-                    .expect("core lock")
-                    .drain_on_death(now, id, &inner.naming);
+                let items =
+                    rt.core
+                        .lock()
+                        .expect("core lock")
+                        .drain_on_death(now, id, &inner.naming);
                 file_interrupts(
                     items,
                     &inner.ledger,
@@ -838,7 +887,9 @@ impl Cluster {
                 TraceKind::TaskDestroy,
                 &[("component", TraceValue::U64(item.component.id.0))],
             );
-            inner.tracer.count_node("runtime_destroyed", item.from_host, 1);
+            inner
+                .tracer
+                .count_node("runtime_destroyed", item.from_host, 1);
         }
         let mut report = ClusterReport {
             datagrams_dropped: inner.network.dropped_count(),
@@ -890,11 +941,7 @@ impl Cluster {
 
 impl Drop for Cluster {
     fn drop(&mut self) {
-        let done = self
-            .report
-            .lock()
-            .map(|g| g.is_some())
-            .unwrap_or(true);
+        let done = self.report.lock().map(|g| g.is_some()).unwrap_or(true);
         if !done {
             let _ = self.shutdown();
         }

@@ -335,7 +335,10 @@ mod tests {
 
     #[test]
     fn bad_tag_rejected() {
-        assert_eq!(decode_message(&[0xFF, 0, 0, 0]), Err(CodecError::BadTag(0xFF)));
+        assert_eq!(
+            decode_message(&[0xFF, 0, 0, 0]),
+            Err(CodecError::BadTag(0xFF))
+        );
     }
 
     #[test]

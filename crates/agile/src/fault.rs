@@ -81,11 +81,11 @@ impl FaultPlan {
         let mut commands = Vec::new();
         let mut skipped = 0;
         let kill = |at: SimTime,
-                        count: usize,
-                        rng: &mut SimRng,
-                        alive: &mut Vec<HostId>,
-                        dead: &mut Vec<HostId>,
-                        commands: &mut Vec<FaultCommand>| {
+                    count: usize,
+                    rng: &mut SimRng,
+                    alive: &mut Vec<HostId>,
+                    dead: &mut Vec<HostId>,
+                    commands: &mut Vec<FaultCommand>| {
             let count = count.min(alive.len());
             let mut victims: Vec<HostId> = rng
                 .sample_indices(alive.len(), count)
@@ -203,7 +203,10 @@ mod tests {
             })
             .collect();
         assert_eq!(kills.len(), 3);
-        assert_eq!(restores, kills, "restore-all brings back exactly the victims");
+        assert_eq!(
+            restores, kills,
+            "restore-all brings back exactly the victims"
+        );
         assert!(plan.commands.iter().all(|c| match c.op {
             FaultOp::Kill(_) => c.at == at(100),
             FaultOp::Restore(_) => c.at == at(200),

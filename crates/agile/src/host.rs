@@ -358,7 +358,9 @@ impl Host {
                             if !c.queue.can_accept(now, req.size_secs) {
                                 return refuse.clone();
                             }
-                            c.queue.admit(now, req.size_secs).expect("checked can_accept");
+                            c.queue
+                                .admit(now, req.size_secs)
+                                .expect("checked can_accept");
                             let drain_at = c.queue.drain_time(now);
                             component.migrated();
                             c.inflight.push(InflightTask {
@@ -528,12 +530,9 @@ impl HostDriver {
         epoch: u64,
     ) -> Self {
         let peer_ids: Vec<usize> = (0..directory.len()).collect();
-        let protocol = cfg.protocol.build(
-            id,
-            cfg.protocol_config,
-            &peer_ids,
-            cfg.capacity_secs,
-        );
+        let protocol = cfg
+            .protocol
+            .build(id, cfg.protocol_config, &peer_ids, cfg.capacity_secs);
         HostDriver {
             id,
             clock,
@@ -600,7 +599,8 @@ impl HostDriver {
     fn on_message(&mut self, from: HostId, msg: &realtor_core::Message) {
         let now = self.clock.now();
         let view = self.view(now);
-        self.protocol.on_message(now, from, msg, view, &mut self.actions);
+        self.protocol
+            .on_message(now, from, msg, view, &mut self.actions);
         self.dispatch_actions(now);
     }
 
@@ -746,11 +746,15 @@ impl HostDriver {
                     self.negotiation_timeout,
                     self.negotiation_deadline,
                 ) {
-                    self.stats.negotiation_abandoned.fetch_add(1, Ordering::Relaxed);
+                    self.stats
+                        .negotiation_abandoned
+                        .fetch_add(1, Ordering::Relaxed);
                     return false;
                 }
                 std::thread::sleep(backoff);
-                self.stats.negotiation_retries.fetch_add(1, Ordering::Relaxed);
+                self.stats
+                    .negotiation_retries
+                    .fetch_add(1, Ordering::Relaxed);
             }
             match self
                 .directory
@@ -765,12 +769,10 @@ impl HostDriver {
                 }
                 Err(RequestError::Timeout) => {
                     if let Some(c) = committed {
-                        if self.naming.await_binding(
-                            c.id,
-                            dest,
-                            3,
-                            Duration::from_micros(200),
-                        ) {
+                        if self
+                            .naming
+                            .await_binding(c.id, dest, 3, Duration::from_micros(200))
+                        {
                             return true; // commit landed, reply lost
                         }
                     }

@@ -63,12 +63,20 @@ impl NameService {
 
     /// Current host of `id`, if registered.
     pub fn lookup(&self, id: ComponentId) -> Option<HostId> {
-        self.table.read().expect("naming read lock").get(&id).map(|b| b.host)
+        self.table
+            .read()
+            .expect("naming read lock")
+            .get(&id)
+            .map(|b| b.host)
     }
 
     /// Current `(host, version)` of `id`.
     pub fn lookup_versioned(&self, id: ComponentId) -> Option<(HostId, u64)> {
-        self.table.read().expect("naming read lock").get(&id).map(|b| (b.host, b.version))
+        self.table
+            .read()
+            .expect("naming read lock")
+            .get(&id)
+            .map(|b| (b.host, b.version))
     }
 
     /// Bounded-retry lookup: wait for `id` to be bound to `host`, polling
@@ -178,20 +186,10 @@ mod tests {
                 ns.update(ComponentId(5), 2, 1);
             })
         };
-        assert!(ns.await_binding(
-            ComponentId(5),
-            2,
-            8,
-            std::time::Duration::from_millis(2)
-        ));
+        assert!(ns.await_binding(ComponentId(5), 2, 8, std::time::Duration::from_millis(2)));
         writer.join().unwrap();
         // A binding that never lands reports false after the bounded looks.
-        assert!(!ns.await_binding(
-            ComponentId(5),
-            7,
-            3,
-            std::time::Duration::from_micros(100)
-        ));
+        assert!(!ns.await_binding(ComponentId(5), 7, 3, std::time::Duration::from_micros(100)));
     }
 
     #[test]

@@ -12,9 +12,7 @@
 //! `interrupted == recovered + destroyed`.
 
 use crate::clock::Clock;
-use crate::codec::{
-    decode_admission_reply, encode_admission_request, AdmissionRequest,
-};
+use crate::codec::{decode_admission_reply, encode_admission_request, AdmissionRequest};
 use crate::component::AgileComponent;
 use crate::naming::NameService;
 use crate::retry::RetryPolicy;
@@ -135,7 +133,10 @@ pub fn file_interrupts(
             None,
             &[
                 ("component", TraceValue::U64(item.component.id.0)),
-                ("remaining_secs", TraceValue::F64(item.component.remaining_secs)),
+                (
+                    "remaining_secs",
+                    TraceValue::F64(item.component.remaining_secs),
+                ),
             ],
         );
         tracer.count_node("runtime_interrupted", item.from_host, 1);
@@ -192,7 +193,10 @@ pub fn recover_item(
                 .request(encode_admission_request(&req), cfg.negotiation_timeout)
             {
                 Ok(bytes) => {
-                    if decode_admission_reply(&bytes).map(|r| r.accepted).unwrap_or(false) {
+                    if decode_admission_reply(&bytes)
+                        .map(|r| r.accepted)
+                        .unwrap_or(false)
+                    {
                         recovered = true;
                     }
                 }
@@ -201,12 +205,7 @@ pub fn recover_item(
                     // the receiving AC updates the binding on restore, so a
                     // brief retried lookup disambiguates before we retry
                     // (and potentially double-admit).
-                    recovered = naming.await_binding(
-                        id,
-                        target,
-                        3,
-                        Duration::from_micros(200),
-                    );
+                    recovered = naming.await_binding(id, target, 3, Duration::from_micros(200));
                 }
                 Err(RequestError::Busy) | Err(RequestError::Closed) => {}
             }
@@ -232,7 +231,10 @@ pub fn recover_item(
             None,
             &[
                 ("component", TraceValue::U64(id.0)),
-                ("remaining_secs", TraceValue::F64(item.component.remaining_secs)),
+                (
+                    "remaining_secs",
+                    TraceValue::F64(item.component.remaining_secs),
+                ),
             ],
         );
         tracer.count_node("runtime_recovered", item.from_host, 1);
@@ -247,7 +249,10 @@ pub fn recover_item(
             None,
             &[
                 ("component", TraceValue::U64(id.0)),
-                ("remaining_secs", TraceValue::F64(item.component.remaining_secs)),
+                (
+                    "remaining_secs",
+                    TraceValue::F64(item.component.remaining_secs),
+                ),
             ],
         );
         tracer.count_node("runtime_destroyed", item.from_host, 1);
@@ -351,8 +356,16 @@ mod tests {
         assert!(!ok);
         assert!(ledger.balanced());
         assert_eq!(ledger.destroyed.load(Relaxed), 1);
-        assert_eq!(ledger.recovery_tries.load(Relaxed), 3, "every try is charged");
-        assert_eq!(naming.lookup(ComponentId(9)), None, "destroyed work unbinds");
+        assert_eq!(
+            ledger.recovery_tries.load(Relaxed),
+            3,
+            "every try is charged"
+        );
+        assert_eq!(
+            naming.lookup(ComponentId(9)),
+            None,
+            "destroyed work unbinds"
+        );
     }
 
     #[test]

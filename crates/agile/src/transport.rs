@@ -100,11 +100,7 @@ impl Network {
     /// Create a network whose datagrams cross `quality` (loss and
     /// duplication; the delay components are not modeled by this fabric),
     /// with the default inbox bound.
-    pub fn with_quality(
-        hosts: usize,
-        quality: LinkQuality,
-        seed: u64,
-    ) -> (Network, Vec<Endpoint>) {
+    pub fn with_quality(hosts: usize, quality: LinkQuality, seed: u64) -> (Network, Vec<Endpoint>) {
         Self::with_options(hosts, quality, seed, DEFAULT_MAILBOX_CAPACITY)
     }
 
@@ -245,7 +241,9 @@ impl Network {
                     self.shared.dropped.fetch_add(1, Relaxed);
                     return;
                 }
-                Sampled::Delivered { duplicate: None, .. } => 1,
+                Sampled::Delivered {
+                    duplicate: None, ..
+                } => 1,
                 Sampled::Delivered {
                     duplicate: Some(_), ..
                 } => {
@@ -572,7 +570,10 @@ mod tests {
             eps[0].send(1, b"x".to_vec());
         }
         let dropped = net.dropped_count();
-        assert!((300..700).contains(&(dropped as usize)), "dropped {dropped}");
+        assert!(
+            (300..700).contains(&(dropped as usize)),
+            "dropped {dropped}"
+        );
         let mut received = 0;
         while eps[1].try_recv().is_some() {
             received += 1;
@@ -657,7 +658,11 @@ mod tests {
             "the high-water mark spans incarnations"
         );
         eps[0].send(1, b"d".to_vec());
-        assert_eq!(net.mailbox_high_water(1), 3, "a lower depth never lowers it");
+        assert_eq!(
+            net.mailbox_high_water(1),
+            3,
+            "a lower depth never lowers it"
+        );
     }
 
     #[test]
@@ -691,11 +696,20 @@ mod tests {
     #[test]
     fn full_request_queue_refuses_busy() {
         let (client, server) = request_channel_with::<u32, u32>(2);
-        assert_eq!(client.request(1, Duration::from_millis(1)), Err(RequestError::Timeout));
-        assert_eq!(client.request(2, Duration::from_millis(1)), Err(RequestError::Timeout));
+        assert_eq!(
+            client.request(1, Duration::from_millis(1)),
+            Err(RequestError::Timeout)
+        );
+        assert_eq!(
+            client.request(2, Duration::from_millis(1)),
+            Err(RequestError::Timeout)
+        );
         assert_eq!(client.in_flight(), 2);
         // Queue full: explicit backpressure, not unbounded growth.
-        assert_eq!(client.request(3, Duration::from_millis(1)), Err(RequestError::Busy));
+        assert_eq!(
+            client.request(3, Duration::from_millis(1)),
+            Err(RequestError::Busy)
+        );
         assert_eq!(client.shed_count(), 1);
         let served = server.serve_pending(|x| x);
         assert_eq!(served, 2);

@@ -53,18 +53,12 @@ fn build_message(&(variant, id, count, unit, ttl, secs): &RawMessage) -> Message
 /// decode(encode(m)) == m for every message.
 #[test]
 fn codec_round_trips() {
-    forall(
-        "codec_round_trips",
-        0xA61E01,
-        256,
-        gen_raw_message,
-        |raw| {
-            let msg = build_message(raw);
-            let decoded = decode_message(&encode_message(&msg)).unwrap();
-            prop_assert_eq!(decoded, msg);
-            Ok(())
-        },
-    );
+    forall("codec_round_trips", 0xA61E01, 256, gen_raw_message, |raw| {
+        let msg = build_message(raw);
+        let decoded = decode_message(&encode_message(&msg)).unwrap();
+        prop_assert_eq!(decoded, msg);
+        Ok(())
+    });
 }
 
 /// The decoder never panics on arbitrary bytes — it returns an error or
@@ -109,7 +103,13 @@ fn component_snapshot_round_trips() {
         "component_snapshot_round_trips",
         0xA61E04,
         256,
-        |r| (gen::any_u64(r), gen::f64_in(r, 0.001, 1e6), gen::u64_in(r, 0, 100)),
+        |r| {
+            (
+                gen::any_u64(r),
+                gen::f64_in(r, 0.001, 1e6),
+                gen::u64_in(r, 0, 100),
+            )
+        },
         |&(id, size, migs)| {
             let mut c = AgileComponent::new(ComponentId(id), size);
             for _ in 0..migs {
@@ -231,7 +231,11 @@ fn naming_updates_are_order_independent() {
         "naming_updates_are_order_independent",
         0xA61E05,
         256,
-        |r| gen::vec(r, 1, 30, |r| (gen::usize_in(r, 0, 8), gen::u64_in(r, 1, 50))),
+        |r| {
+            gen::vec(r, 1, 30, |r| {
+                (gen::usize_in(r, 0, 8), gen::u64_in(r, 1, 50))
+            })
+        },
         |updates| {
             let apply = |order: &[(usize, u64)]| {
                 let ns = NameService::new();

@@ -8,7 +8,10 @@ use realtor_core::ProtocolKind;
 use realtor_sim::{run_scenario, FigureMetric};
 
 fn main() {
-    print_series(FigureMetric::AdmissionProbability, "Figure 5 (bench scale) — admission probability");
+    print_series(
+        FigureMetric::AdmissionProbability,
+        "Figure 5 (bench scale) — admission probability",
+    );
     let mut runner = Runner::from_env();
     {
         let mut group = runner.group("fig5_admission");

@@ -8,7 +8,10 @@ use realtor_core::ProtocolKind;
 use realtor_sim::{run_scenario, FigureMetric};
 
 fn main() {
-    print_series(FigureMetric::TotalMessages, "Figure 6 (bench scale) — number of messages");
+    print_series(
+        FigureMetric::TotalMessages,
+        "Figure 6 (bench scale) — number of messages",
+    );
     let mut runner = Runner::from_env();
     {
         let mut group = runner.group("fig6_messages");

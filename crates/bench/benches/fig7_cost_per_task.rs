@@ -8,7 +8,10 @@ use realtor_core::ProtocolKind;
 use realtor_sim::{run_scenario, FigureMetric};
 
 fn main() {
-    print_series(FigureMetric::CostPerAdmittedTask, "Figure 7 (bench scale) — message cost per admitted task");
+    print_series(
+        FigureMetric::CostPerAdmittedTask,
+        "Figure 7 (bench scale) — message cost per admitted task",
+    );
     let mut runner = Runner::from_env();
     {
         let mut group = runner.group("fig7_cost_per_task");

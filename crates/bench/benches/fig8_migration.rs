@@ -8,7 +8,10 @@ use realtor_core::ProtocolKind;
 use realtor_sim::{run_scenario, FigureMetric};
 
 fn main() {
-    print_series(FigureMetric::MigrationRate, "Figure 8 (bench scale) — migration rate");
+    print_series(
+        FigureMetric::MigrationRate,
+        "Figure 8 (bench scale) — migration rate",
+    );
     let mut runner = Runner::from_env();
     {
         let mut group = runner.group("fig8_migration");

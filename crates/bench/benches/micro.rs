@@ -39,7 +39,13 @@ fn protocol_step(runner: &mut Runner) {
                 grant_probability: 0.5,
                 sent_at: SimTime::from_ticks(i as u64),
             });
-            r.on_message(SimTime::from_ticks(i as u64), i % 25, &pledge, view, &mut out);
+            r.on_message(
+                SimTime::from_ticks(i as u64),
+                i % 25,
+                &pledge,
+                view,
+                &mut out,
+            );
             out.drain().for_each(drop);
         }
         r.pick_candidate(SimTime::from_ticks(2_000), 5.0)

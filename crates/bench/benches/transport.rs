@@ -67,9 +67,12 @@ fn fabric(runner: &mut Runner) {
     }
     {
         let (client, server) = request_channel::<u64, u64>();
-        let handle = std::thread::spawn(move || {
-            while server.serve_one(Duration::from_millis(200), |x| x + 1) {}
-        });
+        let handle =
+            std::thread::spawn(
+                move || {
+                    while server.serve_one(Duration::from_millis(200), |x| x + 1) {}
+                },
+            );
         group.bench_function("request_reply", || {
             client.request(41, Duration::from_millis(100)).unwrap()
         });

@@ -323,7 +323,10 @@ fn main() {
         let tracer = Tracer::bounded(100_000);
         let (debug_traced, debug_profile) =
             run_scenario_traced_profiled(&overhead_scenario, tracer);
-        assert_eq!(plain, debug_traced, "debug tracing perturbed the simulation");
+        assert_eq!(
+            plain, debug_traced,
+            "debug tracing perturbed the simulation"
+        );
         untraced_eps.push(plain_profile.events_per_sec());
         traced_eps.push(traced_profile.events_per_sec());
         debug_eps.push(debug_profile.events_per_sec());

@@ -150,7 +150,11 @@ impl Runner {
         for r in &self.records {
             writeln!(f, "{}", r.to_json()).expect("write bench record");
         }
-        println!("\nwrote {} result(s) to {}", self.records.len(), self.out.display());
+        println!(
+            "\nwrote {} result(s) to {}",
+            self.records.len(),
+            self.out.display()
+        );
     }
 }
 
@@ -250,7 +254,8 @@ mod tests {
 
     #[test]
     fn records_and_json_shape() {
-        let tmp = std::env::temp_dir().join(format!("bench_runner_test_{}.jsonl", std::process::id()));
+        let tmp =
+            std::env::temp_dir().join(format!("bench_runner_test_{}.jsonl", std::process::id()));
         let _ = fs::remove_file(&tmp);
         let mut runner = Runner::from_env().with_out(&tmp).with_samples(3);
         {

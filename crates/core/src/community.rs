@@ -297,7 +297,10 @@ mod tests {
         let mut m = MembershipTable::new(TTL);
         m.refresh(1, SimTime::from_secs(0));
         m.refresh(2, SimTime::from_secs(150));
-        assert_eq!(m.current(SimTime::from_secs(160)).collect::<Vec<_>>(), vec![2]);
+        assert_eq!(
+            m.current(SimTime::from_secs(160)).collect::<Vec<_>>(),
+            vec![2]
+        );
         m.purge_expired(SimTime::from_secs(160));
         assert_eq!(m.count(SimTime::from_secs(160)), 1);
     }
@@ -315,7 +318,10 @@ mod tests {
         let mut m = MembershipTable::new(TTL);
         assert_eq!(m.lifetime_joins(), 0);
         assert!(m.refresh(1, SimTime::ZERO), "first contact is a join");
-        assert!(!m.refresh(1, SimTime::from_secs(5)), "refresh, not a new join");
+        assert!(
+            !m.refresh(1, SimTime::from_secs(5)),
+            "refresh, not a new join"
+        );
         assert!(m.refresh(2, SimTime::ZERO));
         assert_eq!(m.lifetime_joins(), 2);
         m.leave(1);

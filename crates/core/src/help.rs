@@ -193,7 +193,9 @@ impl HelpController {
         if found_candidate && self.round_urgent {
             self.successes += 1;
             if self.mode == HelpMode::Adaptive {
-                let shrunk = self.interval.saturating_sub(self.interval.mul_f64(self.beta));
+                let shrunk = self
+                    .interval
+                    .saturating_sub(self.interval.mul_f64(self.beta));
                 // "If ((HELP_interval - HELP_interval*beta) > 0)"
                 if !shrunk.is_zero() {
                     self.interval = shrunk;
@@ -265,11 +267,17 @@ mod tests {
     #[test]
     fn interval_gates_resends() {
         let mut h = HelpController::new(&cfg(), HelpMode::Adaptive);
-        assert!(matches!(arrive(&mut h, 0.0, 0.95), HelpDecision::SendHelp { .. }));
+        assert!(matches!(
+            arrive(&mut h, 0.0, 0.95),
+            HelpDecision::SendHelp { .. }
+        ));
         // interval is 1s: arrivals within 1s hold
         assert_eq!(arrive(&mut h, 0.5, 0.95), HelpDecision::Hold);
         assert_eq!(arrive(&mut h, 1.0, 0.95), HelpDecision::Hold); // strictly greater required
-        assert!(matches!(arrive(&mut h, 1.01, 0.95), HelpDecision::SendHelp { .. }));
+        assert!(matches!(
+            arrive(&mut h, 1.01, 0.95),
+            HelpDecision::SendHelp { .. }
+        ));
     }
 
     #[test]
@@ -299,7 +307,10 @@ mod tests {
         h.on_pledge(true);
         assert_eq!(h.interval(), grown);
         // Open a new URGENT round (overflow); the first useful pledge shrinks...
-        assert!(matches!(arrive(&mut h, 10.0, 1.0), HelpDecision::SendHelp { .. }));
+        assert!(matches!(
+            arrive(&mut h, 10.0, 1.0),
+            HelpDecision::SendHelp { .. }
+        ));
         h.on_pledge(true);
         assert_eq!(h.interval(), SimDuration::from_secs_f64(0.75));
         // ...and later pledges of the same round do not shrink again.
@@ -327,7 +338,10 @@ mod tests {
     fn precautionary_round_backs_off_on_any_pledge() {
         let mut h = HelpController::new(&cfg(), HelpMode::Adaptive);
         // Non-urgent round (queue above threshold but task still fits).
-        assert!(matches!(arrive(&mut h, 0.0, 0.95), HelpDecision::SendHelp { .. }));
+        assert!(matches!(
+            arrive(&mut h, 0.0, 0.95),
+            HelpDecision::SendHelp { .. }
+        ));
         h.on_pledge(true); // viable pledge, but no migration was pending
         assert_eq!(h.interval(), SimDuration::from_secs_f64(1.5));
     }
@@ -392,6 +406,9 @@ mod tests {
         h.reset();
         assert_eq!(h.interval(), SimDuration::from_secs(1));
         // can immediately send again
-        assert!(matches!(arrive(&mut h, 0.1, 0.95), HelpDecision::SendHelp { .. }));
+        assert!(matches!(
+            arrive(&mut h, 0.1, 0.95),
+            HelpDecision::SendHelp { .. }
+        ));
     }
 }

@@ -371,9 +371,7 @@ mod tests {
         let mut out = Actions::new();
         gw.on_message(at(0.5), 0, &help(0, 0.9, 1), view(50.0), &mut out);
         assert!(
-            !out.as_slice()
-                .iter()
-                .any(|a| matches!(a, Action::Flood(_))),
+            !out.as_slice().iter().any(|a| matches!(a, Action::Flood(_))),
             "relay within spacing window must be suppressed"
         );
     }
@@ -383,10 +381,7 @@ mod tests {
         let mut p = InterCommunityRealtor::new(1, ProtocolConfig::paper(), false, 0, 0.0);
         let mut out = Actions::new();
         p.on_message(at(0.0), 0, &help(0, 1.0, 3), view(50.0), &mut out);
-        assert!(!out
-            .as_slice()
-            .iter()
-            .any(|a| matches!(a, Action::Flood(_))));
+        assert!(!out.as_slice().iter().any(|a| matches!(a, Action::Flood(_))));
     }
 
     #[test]
@@ -394,10 +389,7 @@ mod tests {
         let mut gw = InterCommunityRealtor::new(4, ProtocolConfig::paper(), true, 0, 0.0);
         let mut out = Actions::new();
         gw.on_message(at(0.0), 0, &help(0, 1.0, 0), view(50.0), &mut out);
-        assert!(!out
-            .as_slice()
-            .iter()
-            .any(|a| matches!(a, Action::Flood(_))));
+        assert!(!out.as_slice().iter().any(|a| matches!(a, Action::Flood(_))));
     }
 
     #[test]
@@ -405,9 +397,6 @@ mod tests {
         let mut gw = InterCommunityRealtor::new(4, ProtocolConfig::paper(), true, 0, 0.8);
         let mut out = Actions::new();
         gw.on_message(at(0.0), 0, &help(0, 0.2, 3), view(50.0), &mut out);
-        assert!(!out
-            .as_slice()
-            .iter()
-            .any(|a| matches!(a, Action::Flood(_))));
+        assert!(!out.as_slice().iter().any(|a| matches!(a, Action::Flood(_))));
     }
 }

@@ -225,9 +225,6 @@ mod tests {
         assert!(a.is_empty());
         assert!(matches!(drained[0], Action::Flood(_)));
         assert!(matches!(drained[1], Action::Unicast(2, _)));
-        assert!(matches!(
-            drained[2],
-            Action::SetTimer(TimerToken(9), _)
-        ));
+        assert!(matches!(drained[2], Action::SetTimer(TimerToken(9), _)));
     }
 }

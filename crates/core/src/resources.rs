@@ -15,9 +15,7 @@ use realtor_simcore::{SimDuration, SimTime};
 
 /// Security levels, ordered: a host satisfies a demand for level L when its
 /// own level is *at least* L.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum SecurityLevel {
     /// No assurances (e.g. a node in a zone under active attack).
     #[default]

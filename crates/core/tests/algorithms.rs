@@ -31,7 +31,11 @@ fn paper_parameters_are_wired() {
     let c = cfg();
     assert_eq!(c.alpha, 0.5, "paper: alpha = 0.5");
     assert_eq!(c.beta, 0.5, "paper: beta = 0.5");
-    assert_eq!(c.upper_limit, SimDuration::from_secs(100), "paper: Upper_limit = 100 s");
+    assert_eq!(
+        c.upper_limit,
+        SimDuration::from_secs(100),
+        "paper: Upper_limit = 100 s"
+    );
     assert_eq!(c.initial_help_interval, SimDuration::from_secs(1));
     assert_eq!(c.help_threshold, 0.9, "paper: 90% HELP threshold");
     assert_eq!(c.pledge_threshold, 0.9, "paper: 90% PLEDGE threshold");
@@ -167,8 +171,7 @@ fn algorithm_h_growth_then_contraction_composes() {
         h.on_pledge(true);
         t += 1000.0;
     }
-    let expected =
-        secs(c.initial_help_interval) * ((1.0 + c.alpha) * (1.0 - c.beta)).powi(k);
+    let expected = secs(c.initial_help_interval) * ((1.0 + c.alpha) * (1.0 - c.beta)).powi(k);
     assert!(
         (secs(h.interval()) - expected).abs() < 1e-9,
         "interval {} != {expected}",
@@ -184,7 +187,10 @@ fn algorithm_p_answers_help_strictly_below_threshold() {
     let p = PledgePolicy::new(&c, 0.0);
     assert!(p.should_answer_help(0.0));
     assert!(p.should_answer_help(c.pledge_threshold - 1e-9));
-    assert!(!p.should_answer_help(c.pledge_threshold), "at threshold: no pledge");
+    assert!(
+        !p.should_answer_help(c.pledge_threshold),
+        "at threshold: no pledge"
+    );
     assert!(!p.should_answer_help(1.0));
 }
 

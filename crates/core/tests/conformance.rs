@@ -93,11 +93,28 @@ fn exercise(p: &mut dyn DiscoveryProtocol) -> Vec<Action> {
         grab(&mut out, &mut collected);
         p.on_usage_change(at(i as f64 + 0.1), view(headroom), &mut out);
         grab(&mut out, &mut collected);
-        p.on_message(at(i as f64 + 0.2), (i % PEERS + 1) % PEERS, &help_from((i + 1) % PEERS), view(headroom), &mut out);
+        p.on_message(
+            at(i as f64 + 0.2),
+            (i % PEERS + 1) % PEERS,
+            &help_from((i + 1) % PEERS),
+            view(headroom),
+            &mut out,
+        );
         grab(&mut out, &mut collected);
-        p.on_message(at(i as f64 + 0.3), (i + 2) % PEERS, &pledge_from((i + 2) % PEERS, 50.0), view(headroom), &mut out);
+        p.on_message(
+            at(i as f64 + 0.3),
+            (i + 2) % PEERS,
+            &pledge_from((i + 2) % PEERS, 50.0),
+            view(headroom),
+            &mut out,
+        );
         grab(&mut out, &mut collected);
-        p.on_timer(at(i as f64 + 0.5), TimerToken(i as u64), view(headroom), &mut out);
+        p.on_timer(
+            at(i as f64 + 0.5),
+            TimerToken(i as u64),
+            view(headroom),
+            &mut out,
+        );
         grab(&mut out, &mut collected);
     }
     collected
@@ -205,7 +222,12 @@ fn repeated_resets_and_restarts_are_idempotent() {
             p.on_reset(at(round as f64 * 10.0));
             p.on_start(at(round as f64 * 10.0 + 0.1), view(100.0), &mut out);
             // No panic, and the action stream stays bounded per round.
-            assert!(out.len() <= 4, "{} burst {} actions on restart", p.name(), out.len());
+            assert!(
+                out.len() <= 4,
+                "{} burst {} actions on restart",
+                p.name(),
+                out.len()
+            );
         }
     }
 }
@@ -497,19 +519,39 @@ fn scripted_run(kind: ProtocolKind, detector: bool, tracer: Tracer) -> (u64, Scr
 /// Pinned action-stream hashes per protocol: (detector off, detector on).
 /// Any change to what a protocol emits, picks or reports moves these.
 const ACTION_STREAM_PINS: [(ProtocolKind, u64, u64); 5] = [
-    (ProtocolKind::PurePull, 0x312e_2e88_9155_ad32, 0x312e_2e88_9155_ad32),
-    (ProtocolKind::PurePush, 0x8b6b_5598_f71e_38ea, 0x8b6b_5598_f71e_38ea),
-    (ProtocolKind::AdaptivePush, 0xd322_d079_f34f_edef, 0xd322_d079_f34f_edef),
-    (ProtocolKind::AdaptivePull, 0x5418_c4fa_4fb8_3ba0, 0x5418_c4fa_4fb8_3ba0),
-    (ProtocolKind::Realtor, 0xab58_432f_f65a_d5c6, 0x0357_aa1f_eea8_6f4f),
+    (
+        ProtocolKind::PurePull,
+        0x312e_2e88_9155_ad32,
+        0x312e_2e88_9155_ad32,
+    ),
+    (
+        ProtocolKind::PurePush,
+        0x8b6b_5598_f71e_38ea,
+        0x8b6b_5598_f71e_38ea,
+    ),
+    (
+        ProtocolKind::AdaptivePush,
+        0xd322_d079_f34f_edef,
+        0xd322_d079_f34f_edef,
+    ),
+    (
+        ProtocolKind::AdaptivePull,
+        0x5418_c4fa_4fb8_3ba0,
+        0x5418_c4fa_4fb8_3ba0,
+    ),
+    (
+        ProtocolKind::Realtor,
+        0xab58_432f_f65a_d5c6,
+        0x0357_aa1f_eea8_6f4f,
+    ),
 ];
 
 #[test]
 fn action_streams_match_their_pins() {
     for (kind, off, on) in ACTION_STREAM_PINS {
         for (detector, want) in [(false, off), (true, on)] {
-            let tracer = Tracer::bounded(1 << 14)
-                .with_kinds(&[TraceKind::HelpFlood, TraceKind::PledgeSend]);
+            let tracer =
+                Tracer::bounded(1 << 14).with_kinds(&[TraceKind::HelpFlood, TraceKind::PledgeSend]);
             let (got, tally) = scripted_run(kind, detector, tracer.clone());
             assert_eq!(
                 got, want,
@@ -520,7 +562,11 @@ fn action_streams_match_their_pins() {
             assert_eq!(snap.dropped, 0);
             let traced = |k| snap.events.iter().filter(|e| e.kind == k).count();
             assert_eq!(traced(TraceKind::HelpFlood), tally.help_floods, "{kind:?}");
-            assert_eq!(traced(TraceKind::PledgeSend), tally.pledge_unicasts, "{kind:?}");
+            assert_eq!(
+                traced(TraceKind::PledgeSend),
+                tally.pledge_unicasts,
+                "{kind:?}"
+            );
         }
     }
 }

@@ -5,11 +5,9 @@
 //! expired on its own — the detector must beat the TTL, otherwise it adds
 //! nothing over plain soft state.
 
-use realtor_core::protocol::{Action, Actions, DiscoveryProtocol, LocalView};
 use realtor_core::discovery::DETECTOR_TIMER_TOKEN;
-use realtor_core::{
-    FailureDetectorConfig, Help, Message, Pledge, ProtocolConfig, ProtocolKind,
-};
+use realtor_core::protocol::{Action, Actions, DiscoveryProtocol, LocalView};
+use realtor_core::{FailureDetectorConfig, Help, Message, Pledge, ProtocolConfig, ProtocolKind};
 use realtor_simcore::{SimDuration, SimTime};
 
 const ME: usize = 0;
@@ -61,11 +59,7 @@ fn pledge_from(node: usize, sent_at: SimTime) -> Message {
 
 /// Drive every whole-second detector sweep in `(from, to]`, returning the
 /// declared-dead peers with their declaration times.
-fn sweep_range(
-    p: &mut dyn DiscoveryProtocol,
-    from: u64,
-    to: u64,
-) -> Vec<(usize, SimTime)> {
+fn sweep_range(p: &mut dyn DiscoveryProtocol, from: u64, to: u64) -> Vec<(usize, SimTime)> {
     let mut declared = Vec::new();
     let mut out = Actions::new();
     for s in (from + 1)..=to {
@@ -93,9 +87,9 @@ fn start_arms_the_sweep_timer() {
     let mut p = detecting_realtor();
     let mut out = Actions::new();
     p.on_start(at(0.0), view(), &mut out);
-    let armed = out.drain().any(|a| {
-        matches!(a, Action::SetTimer(token, _) if token == DETECTOR_TIMER_TOKEN)
-    });
+    let armed = out
+        .drain()
+        .any(|a| matches!(a, Action::SetTimer(token, _) if token == DETECTOR_TIMER_TOKEN));
     assert!(armed, "on_start must arm the detector sweep");
 }
 
@@ -125,7 +119,10 @@ fn confirmed_dead_organizer_leaves_before_ttl_expiry() {
     // The membership died with the declaration — 4.5 s before the TTL
     // would have expired it — and the detector reported exactly once.
     assert_eq!(p.introspect(at(6.0)).memberships, 0);
-    assert!(at(6.0) < at(0.5) + SimDuration::from_secs(10), "sanity: TTL not expired");
+    assert!(
+        at(6.0) < at(0.5) + SimDuration::from_secs(10),
+        "sanity: TTL not expired"
+    );
 }
 
 #[test]
@@ -144,7 +141,13 @@ fn any_protocol_traffic_is_a_heartbeat() {
     for s in 1..=20u64 {
         let now = SimTime::from_secs(s);
         if s % 2 == 0 {
-            p.on_message(now, ORGANIZER, &pledge_from(ORGANIZER, now), view(), &mut out);
+            p.on_message(
+                now,
+                ORGANIZER,
+                &pledge_from(ORGANIZER, now),
+                view(),
+                &mut out,
+            );
             out.drain().for_each(drop);
         }
         let declared = sweep_range(p.as_mut(), s - 1, s);
@@ -184,7 +187,8 @@ fn detector_off_means_no_declarations_and_no_sweeps() {
     let mut out = Actions::new();
     p.on_start(at(0.0), view(), &mut out);
     assert!(
-        !out.drain().any(|a| matches!(a, Action::SetTimer(t, _) if t == DETECTOR_TIMER_TOKEN)),
+        !out.drain()
+            .any(|a| matches!(a, Action::SetTimer(t, _) if t == DETECTOR_TIMER_TOKEN)),
         "paper configuration must not arm detector sweeps"
     );
     p.on_message(at(0.5), ORGANIZER, &help_from(ORGANIZER), view(), &mut out);

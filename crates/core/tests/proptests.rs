@@ -203,7 +203,9 @@ fn most_headroom_is_maximal() {
         256,
         |r| {
             (
-                gen::vec(r, 1, 40, |r| (gen::usize_in(r, 0, 20), gen::f64_in(r, 0.0, 100.0))),
+                gen::vec(r, 1, 40, |r| {
+                    (gen::usize_in(r, 0, 20), gen::f64_in(r, 0.0, 100.0))
+                }),
                 gen::f64_in(r, 0.0, 50.0),
             )
         },
@@ -288,9 +290,17 @@ fn check_membership_script(ops: &[MembershipOp]) -> PropResult {
         }
         for o in 0..6 {
             let member = oracle.get(&o).is_some_and(|&t| now.since(t) <= ttl);
-            prop_assert_eq!(table.is_member(o, now), member, "is_member({o}) at step {step}");
+            prop_assert_eq!(
+                table.is_member(o, now),
+                member,
+                "is_member({o}) at step {step}"
+            );
         }
-        prop_assert_eq!(table.lifetime_joins(), joins, "lifetime_joins at step {step}");
+        prop_assert_eq!(
+            table.lifetime_joins(),
+            joins,
+            "lifetime_joins at step {step}"
+        );
     }
     Ok(())
 }
@@ -305,7 +315,11 @@ fn membership_count_matches_scan() {
         512,
         |r| {
             gen::vec(r, 1, 120, |r| {
-                (gen::u8_in(r, 0, 7), gen::u8_in(r, 0, 5), gen::u8_in(r, 0, 150))
+                (
+                    gen::u8_in(r, 0, 7),
+                    gen::u8_in(r, 0, 5),
+                    gen::u8_in(r, 0, 150),
+                )
             })
         },
         |ops| check_membership_script(ops),
@@ -317,27 +331,58 @@ fn membership_count_matches_scan() {
 fn membership_count_edge_cases() {
     let churn = [(0, 1, 0), (0, 2, 0), (6, 0, 1)].repeat(40);
     let scripts: &[(&str, &[MembershipOp])] = &[
-        ("repeated refresh at one instant", &[(0, 1, 0), (3, 0, 0), (3, 0, 0), (6, 0, 101)]),
+        (
+            "repeated refresh at one instant",
+            &[(0, 1, 0), (3, 0, 0), (3, 0, 0), (6, 0, 101)],
+        ),
         (
             "duplicated HELPs, the copy a little later",
-            &[(0, 1, 0), (0, 2, 0), (6, 0, 3), (0, 1, 0), (3, 0, 0), (6, 0, 98), (6, 0, 5)],
+            &[
+                (0, 1, 0),
+                (0, 2, 0),
+                (6, 0, 3),
+                (0, 1, 0),
+                (3, 0, 0),
+                (6, 0, 98),
+                (6, 0, 5),
+            ],
         ),
-        ("refresh exactly at the TTL boundary", &[(0, 1, 0), (7, 1, 0), (0, 1, 0), (7, 1, 0)]),
-        ("leave a live entry", &[(0, 1, 0), (0, 2, 0), (4, 1, 0), (6, 0, 150)]),
+        (
+            "refresh exactly at the TTL boundary",
+            &[(0, 1, 0), (7, 1, 0), (0, 1, 0), (7, 1, 0)],
+        ),
+        (
+            "leave a live entry",
+            &[(0, 1, 0), (0, 2, 0), (4, 1, 0), (6, 0, 150)],
+        ),
         (
             "leave an expired entry",
             &[(0, 1, 0), (6, 0, 101), (4, 1, 0), (0, 2, 0), (6, 0, 150)],
         ),
-        ("leave and re-join at one instant", &[(0, 1, 0), (4, 1, 0), (0, 1, 0), (6, 0, 101)]),
+        (
+            "leave and re-join at one instant",
+            &[(0, 1, 0), (4, 1, 0), (0, 1, 0), (6, 0, 101)],
+        ),
         (
             "purge, then re-join",
-            &[(0, 1, 0), (0, 2, 0), (6, 0, 101), (5, 0, 0), (0, 1, 0), (6, 0, 101), (5, 0, 0)],
+            &[
+                (0, 1, 0),
+                (0, 2, 0),
+                (6, 0, 101),
+                (5, 0, 0),
+                (0, 1, 0),
+                (6, 0, 101),
+                (5, 0, 0),
+            ],
         ),
         (
             "refreshing an expired, unpurged entry is not a join",
             &[(0, 1, 0), (6, 0, 120), (0, 1, 0), (5, 0, 0), (0, 1, 0)],
         ),
-        ("many refreshes of few organizers (queue compaction)", &churn),
+        (
+            "many refreshes of few organizers (queue compaction)",
+            &churn,
+        ),
     ];
     for (name, ops) in scripts {
         if let Err(e) = check_membership_script(ops) {
@@ -379,7 +424,13 @@ fn pledge_community_count_survives_duplicate_helps() {
         let now = SimTime::from_secs_f64(at);
         heard.insert(organizer, now);
         let mut out = Actions::new();
-        member.on_message(now, organizer, &help(organizer), LocalView::new(80.0, 100.0), &mut out);
+        member.on_message(
+            now,
+            organizer,
+            &help(organizer),
+            LocalView::new(80.0, 100.0),
+            &mut out,
+        );
         let expected = heard.values().filter(|&&t| now.since(t) <= ttl).count() as u32;
         let counts: Vec<u32> = out
             .as_slice()

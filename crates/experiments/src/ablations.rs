@@ -23,7 +23,10 @@ pub fn run_algorithm_h(lambda: f64, horizon_secs: u64, seed: u64, out: &OutDir) 
             }
         }
     }
-    eprintln!("ablation A1 (Algorithm H): {} points at lambda={lambda}", jobs.len());
+    eprintln!(
+        "ablation A1 (Algorithm H): {} points at lambda={lambda}",
+        jobs.len()
+    );
     let results = run_parallel(&jobs, |&(upper, alpha, beta)| {
         let cfg = ProtocolConfig::paper()
             .with_alpha(alpha)
@@ -73,13 +76,15 @@ pub fn run_thresholds(lambda: f64, horizon_secs: u64, seed: u64, out: &OutDir) {
             jobs.push((p, th));
         }
     }
-    eprintln!("ablation A2 (thresholds): {} points at lambda={lambda}", jobs.len());
+    eprintln!(
+        "ablation A2 (thresholds): {} points at lambda={lambda}",
+        jobs.len()
+    );
     let results = run_parallel(&jobs, |&(p, th)| {
         let cfg = ProtocolConfig::paper()
             .with_help_threshold(th)
             .with_pledge_threshold(th);
-        let scenario =
-            Scenario::paper(p, lambda, horizon_secs, seed).with_protocol_config(cfg);
+        let scenario = Scenario::paper(p, lambda, horizon_secs, seed).with_protocol_config(cfg);
         run_scenario(&scenario)
     });
     let mut table = Table::new(

@@ -264,10 +264,8 @@ pub struct Analysis {
 
 fn phase_of(kind: &str) -> &'static str {
     match kind {
-        "help_flood" | "pledge_send" | "pledge_accept" | "pledge_stale_drop"
-        | "interval_adapt" | "community_join" | "community_refresh" | "community_expire" => {
-            "discovery"
-        }
+        "help_flood" | "pledge_send" | "pledge_accept" | "pledge_stale_drop" | "interval_adapt"
+        | "community_join" | "community_refresh" | "community_expire" => "discovery",
         "task_admit" | "task_reject" => "admission",
         "migrate_start" | "migrate_resolve" => "negotiation",
         "task_interrupt" | "task_recover" | "task_destroy" | "evacuation_start"
@@ -416,7 +414,10 @@ pub fn analyze_str(input: &str) -> Result<Analysis, String> {
                     let start = span_interrupt_first
                         .get(&s)
                         .copied()
-                        .or_else(|| r.parent.and_then(|p| span_first.get(&p).map(|&i| recs[i].t)))
+                        .or_else(|| {
+                            r.parent
+                                .and_then(|p| span_first.get(&p).map(|&i| recs[i].t))
+                        })
                         .unwrap_or(r.t);
                     recovery_lat.record(r.t.saturating_sub(start));
                 }
@@ -710,9 +711,9 @@ mod tests {
             .sum();
         assert_eq!(total, 5000 - 4000);
         assert_eq!(a.critical_path.len(), 3); // kill->interrupt->attempt->recover
-        // Admission latency: local admit 0, migrated admit 3000-2000... the
-        // task span opens at the migrate_start parented to it? No: span 2's
-        // first event is the admit at t=3000 itself -> latency 0; span 0 -> 0.
+                                              // Admission latency: local admit 0, migrated admit 3000-2000... the
+                                              // task span opens at the migrate_start parented to it? No: span 2's
+                                              // first event is the admit at t=3000 itself -> latency 0; span 0 -> 0.
         let (_, adm) = &a.phase_latencies[0];
         assert_eq!(adm.count(), 2);
         let (_, rec) = &a.phase_latencies[2];

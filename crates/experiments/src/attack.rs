@@ -19,7 +19,14 @@ use realtor_workload::AttackScenario;
 ///
 /// The strike hits at 40 % of the horizon and recovery happens at 70 %;
 /// `kill_fraction` of the 25 nodes are killed (random targeting, seeded).
-pub fn run(lambda: f64, horizon_secs: u64, seed: u64, kill_fraction: f64, jobs: usize, out: &OutDir) {
+pub fn run(
+    lambda: f64,
+    horizon_secs: u64,
+    seed: u64,
+    kill_fraction: f64,
+    jobs: usize,
+    out: &OutDir,
+) {
     let strike = SimTime::from_secs(horizon_secs * 2 / 5);
     let recover = SimTime::from_secs(horizon_secs * 7 / 10);
     let victims = ((25.0 * kill_fraction).round() as usize).max(1);
@@ -81,7 +88,13 @@ pub fn run(lambda: f64, horizon_secs: u64, seed: u64, kill_fraction: f64, jobs: 
     // Phase summary.
     let mut summary = Table::new(
         "Ablation A4 — admission probability by phase",
-        &["protocol", "before", "during-attack", "after-recovery", "lost-to-attacks"],
+        &[
+            "protocol",
+            "before",
+            "during-attack",
+            "after-recovery",
+            "lost-to-attacks",
+        ],
     )
     .float_precision(4);
     for (p, r) in protocols.iter().zip(&results) {

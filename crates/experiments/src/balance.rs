@@ -21,7 +21,12 @@ pub fn run(lambdas: &[f64], horizon_secs: u64, seed: u64, jobs: usize, out: &Out
         .with_lambdas(lambdas);
     eprintln!("ablation A8 (balance): {} points, jobs {jobs}", grid.len());
     let results = run_grid(&grid, &RunOpts::jobs(jobs), |cell| {
-        run_scenario(&Scenario::paper(cell.protocol, cell.lambda, horizon_secs, cell.seed))
+        run_scenario(&Scenario::paper(
+            cell.protocol,
+            cell.lambda,
+            horizon_secs,
+            cell.seed,
+        ))
     });
     let points: Vec<(ProtocolKind, f64)> = grid
         .cells()

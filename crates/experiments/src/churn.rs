@@ -91,10 +91,7 @@ pub fn churn_scenario(
         .with_window(window)
         .with_recovery(RecoveryConfig::reactive())
         .with_chaos(ChaosConfig::churn(ChurnConfig::new(
-            fraction,
-            interval,
-            start,
-            end,
+            fraction, interval, start, end,
         )))
 }
 
@@ -108,10 +105,7 @@ fn checked(label: &str, r: SimResult) -> SimResult {
     r
 }
 
-fn summary_table(
-    horizon_secs: u64,
-    rows: &[(String, ProtocolKind, SimResult)],
-) -> Table {
+fn summary_table(horizon_secs: u64, rows: &[(String, ProtocolKind, SimResult)]) -> Table {
     let (start, end) = churn_window(horizon_secs);
     let mut t = Table::new(
         "Churn (A16) — admission under continuous node replacement \
@@ -196,24 +190,34 @@ pub fn smoke(seed: u64, jobs: usize, out: &OutDir) {
         .with_protocols(&[ProtocolKind::Realtor, ProtocolKind::PurePull])
         .with_lambdas(&[lambda]);
     let run_cells = |jobs: usize| {
-        run_grid(&grid, &RunOpts { jobs, progress: false }, |cell| {
-            let (fraction, detect) = parse_arm(&cell.arm);
-            let r = run_scenario(&churn_scenario(
-                cell.protocol,
-                cell.lambda,
-                horizon,
-                cell.seed,
-                fraction,
-                detect,
-            ));
-            checked(&cell.label(), r)
-        })
+        run_grid(
+            &grid,
+            &RunOpts {
+                jobs,
+                progress: false,
+            },
+            |cell| {
+                let (fraction, detect) = parse_arm(&cell.arm);
+                let r = run_scenario(&churn_scenario(
+                    cell.protocol,
+                    cell.lambda,
+                    horizon,
+                    cell.seed,
+                    fraction,
+                    detect,
+                ));
+                checked(&cell.label(), r)
+            },
+        )
     };
     let results = run_cells(jobs);
     // Churn must actually interrupt work, and recovery must re-home some.
     let realtor = &results[0];
     assert!(realtor.tasks_interrupted > 0, "churn must interrupt tasks");
-    assert!(realtor.tasks_recovered > 0, "recovery must re-home some tasks");
+    assert!(
+        realtor.tasks_recovered > 0,
+        "recovery must re-home some tasks"
+    );
     assert!(realtor.dip_depth(churn_window(horizon).0) >= 0.0);
     // Thread-count invariance: the same grid at another job count is
     // bit-identical.

@@ -90,13 +90,19 @@ impl Cli {
 
     pub fn get_u64(&self, key: &str, default: u64) -> u64 {
         self.get(key)
-            .map(|v| v.parse().unwrap_or_else(|_| panic!("--{key} must be an integer")))
+            .map(|v| {
+                v.parse()
+                    .unwrap_or_else(|_| panic!("--{key} must be an integer"))
+            })
             .unwrap_or(default)
     }
 
     pub fn get_f64(&self, key: &str, default: f64) -> f64 {
         self.get(key)
-            .map(|v| v.parse().unwrap_or_else(|_| panic!("--{key} must be a number")))
+            .map(|v| {
+                v.parse()
+                    .unwrap_or_else(|_| panic!("--{key} must be a number"))
+            })
             .unwrap_or(default)
     }
 
@@ -157,11 +163,11 @@ mod tests {
 
     #[test]
     fn parses_lambda_specs() {
-        assert_eq!(cli("x --lambdas 2..4").get_lambdas(&[]), vec![2.0, 3.0, 4.0]);
         assert_eq!(
-            cli("x --lambdas 1.5,2.5").get_lambdas(&[]),
-            vec![1.5, 2.5]
+            cli("x --lambdas 2..4").get_lambdas(&[]),
+            vec![2.0, 3.0, 4.0]
         );
+        assert_eq!(cli("x --lambdas 1.5,2.5").get_lambdas(&[]), vec![1.5, 2.5]);
         assert_eq!(cli("x").get_lambdas(&[7.0]), vec![7.0]);
     }
 

@@ -30,9 +30,7 @@
 
 use crate::output::{emit, OutDir};
 use realtor_agile::fault::run_faults;
-use realtor_agile::{
-    Cluster, ClusterConfig, ClusterReport, FaultPlan, FaultStyle, SubmitOutcome,
-};
+use realtor_agile::{Cluster, ClusterConfig, ClusterReport, FaultPlan, FaultStyle, SubmitOutcome};
 use realtor_simcore::stats::LogHistogram;
 use realtor_simcore::table::{Cell, Table};
 use realtor_simcore::trace::{validate_json_line, Tracer};
@@ -58,7 +56,14 @@ struct Sample {
 }
 
 /// The closed loop of one client: submit, await the outcome, think, repeat.
-fn client_loop(cluster: &Cluster, hosts: usize, think_mean: f64, id: u64, seed: u64, end: SimTime) -> Vec<Sample> {
+fn client_loop(
+    cluster: &Cluster,
+    hosts: usize,
+    think_mean: f64,
+    id: u64,
+    seed: u64,
+    end: SimTime,
+) -> Vec<Sample> {
     let mut rng = SimRng::indexed_stream(seed, "cluster-client", id);
     let clock = cluster.clock();
     let mut samples = Vec::new();
@@ -293,11 +298,26 @@ fn drive(
         ("admitted", Cell::Int(report.admitted() as i64)),
         ("rejected", Cell::Int(report.rejected as i64)),
         ("lost-to-attacks", Cell::Int(report.lost_to_attacks as i64)),
-        ("sustained-admitted-per-sec", Cell::Float(metrics.sustained_per_sec)),
-        ("baseline-admitted-per-sec", Cell::Float(metrics.baseline_per_sec)),
-        ("p50-admission-latency-ms", Cell::Float(metrics.latency_ms(0.5))),
-        ("p90-admission-latency-ms", Cell::Float(metrics.latency_ms(0.9))),
-        ("p99-admission-latency-ms", Cell::Float(metrics.latency_ms(0.99))),
+        (
+            "sustained-admitted-per-sec",
+            Cell::Float(metrics.sustained_per_sec),
+        ),
+        (
+            "baseline-admitted-per-sec",
+            Cell::Float(metrics.baseline_per_sec),
+        ),
+        (
+            "p50-admission-latency-ms",
+            Cell::Float(metrics.latency_ms(0.5)),
+        ),
+        (
+            "p90-admission-latency-ms",
+            Cell::Float(metrics.latency_ms(0.9)),
+        ),
+        (
+            "p99-admission-latency-ms",
+            Cell::Float(metrics.latency_ms(0.99)),
+        ),
         (
             "p999-admission-latency-ms",
             Cell::Float(metrics.latency_ms(0.999)),
@@ -308,7 +328,10 @@ fn drive(
         ("destroyed", Cell::Int(report.destroyed as i64)),
         ("recovery-tries", Cell::Int(report.recovery_tries as i64)),
         ("restarts", Cell::Int(report.restarts as i64)),
-        ("negotiation-retries", Cell::Int(report.negotiation_retries as i64)),
+        (
+            "negotiation-retries",
+            Cell::Int(report.negotiation_retries as i64),
+        ),
         (
             "negotiation-abandoned",
             Cell::Int(report.negotiation_abandoned as i64),

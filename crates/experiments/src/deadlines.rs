@@ -75,12 +75,9 @@ fn run_point(target_u: f64, horizon: SimTime, seed: u64, trials: usize) -> Point
 
 /// Run the utilization sweep on `jobs` workers and emit the comparison.
 pub fn run(horizon_secs: u64, seed: u64, trials: usize, jobs: usize, out: &OutDir) {
-    eprintln!(
-        "ablation A11 (deadlines): EDF vs FIFO, {trials} task sets per point, jobs {jobs}"
-    );
+    eprintln!("ablation A11 (deadlines): EDF vs FIFO, {trials} task sets per point, jobs {jobs}");
     let horizon = SimTime::from_secs(horizon_secs);
-    let grid = SweepGrid::new(seed)
-        .with_arms(UTILIZATIONS.iter().map(|u| format!("u={u}")));
+    let grid = SweepGrid::new(seed).with_arms(UTILIZATIONS.iter().map(|u| format!("u={u}")));
     let points = run_grid(&grid, &RunOpts::jobs(jobs), |cell| {
         let target_u: f64 = cell
             .arm

@@ -32,7 +32,13 @@ pub fn run(horizon_secs: u64, seed: u64, out: &OutDir) {
 
     let mut table = Table::new(
         "Ablation A10 — Algorithm H interval dynamics under an MMPP load step (REALTOR)",
-        &["time", "offered-in-window", "admission", "mean-interval-s", "max-interval-s"],
+        &[
+            "time",
+            "offered-in-window",
+            "admission",
+            "mean-interval-s",
+            "max-interval-s",
+        ],
     )
     .float_precision(4);
     for (w, &(at, mean, max)) in r.windows.iter().zip(r.interval_series.iter()) {

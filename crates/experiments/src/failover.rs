@@ -187,12 +187,24 @@ pub fn smoke(seed: u64, out: &OutDir) {
     // No defence: interrupted work dies silently, with no task ledger.
     assert!(none.work_destroyed > 0.0, "the strike must destroy work");
     assert_eq!(none.tasks_recovered, 0);
-    assert_eq!(none.tasks_interrupted, 0, "no task identity without recovery");
+    assert_eq!(
+        none.tasks_interrupted, 0,
+        "no task identity without recovery"
+    );
 
     // Reactive: detection happens and some checkpoints find new homes.
-    assert!(reactive.tasks_interrupted > 0, "strike must interrupt tasks");
-    assert!(reactive.tasks_recovered > 0, "recovery must re-home some tasks");
-    assert!(reactive.detections >= 1, "the detector must confirm the outage");
+    assert!(
+        reactive.tasks_interrupted > 0,
+        "strike must interrupt tasks"
+    );
+    assert!(
+        reactive.tasks_recovered > 0,
+        "recovery must re-home some tasks"
+    );
+    assert!(
+        reactive.detections >= 1,
+        "the detector must confirm the outage"
+    );
     let latency = reactive.mean_detection_latency();
     assert!(
         latency > 0.0 && latency <= 10.0,
@@ -200,8 +212,14 @@ pub fn smoke(seed: u64, out: &OutDir) {
     );
 
     // Proactive: the warning is acted on and beats the strike for some work.
-    assert!(proactive.evacuation_attempts > 0, "warning must trigger evacuation");
-    assert!(proactive.evacuation_successes > 0, "some evacuations must land");
+    assert!(
+        proactive.evacuation_attempts > 0,
+        "warning must trigger evacuation"
+    );
+    assert!(
+        proactive.evacuation_successes > 0,
+        "some evacuations must land"
+    );
     assert!(proactive.work_evacuated > 0.0);
 
     // Determinism: the same seed reproduces every arm bit-for-bit.

@@ -22,7 +22,8 @@ pub fn measure_point(lambda: f64, horizon_secs: u64, seed: u64, hosts: usize, sc
     };
     cfg.host.capacity_secs = 50.0; // the paper's §6 queue size
     let cluster = Cluster::start(&cfg);
-    let trace = WorkloadSpec::paper(lambda, hosts, SimTime::from_secs(horizon_secs), seed).generate();
+    let trace =
+        WorkloadSpec::paper(lambda, hosts, SimTime::from_secs(horizon_secs), seed).generate();
     cluster.run_workload(&trace);
     assert!(
         cluster.quiesce(Duration::from_millis(10), Duration::from_secs(30)),
@@ -45,7 +46,11 @@ pub fn run(lambdas: &[f64], horizon_secs: u64, seed: u64, scale: f64, out: &OutD
         "figure 9: 20-host cluster, queue 50 s, REALTOR, horizon {horizon_secs}s, \
          clock scale {scale}x"
     );
-    emit(out, "fig9_cluster_admission", &render(lambdas, horizon_secs, seed, scale));
+    emit(
+        out,
+        "fig9_cluster_admission",
+        &render(lambdas, horizon_secs, seed, scale),
+    );
 }
 
 /// Build the Figure-9 table (cluster measurement + simulator comparison,

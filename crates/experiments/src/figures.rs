@@ -19,7 +19,12 @@ pub fn run_main_sweep(lambdas: &[f64], horizon_secs: u64, seed: u64, jobs: usize
         .with_protocols(&ProtocolKind::ALL)
         .with_lambdas(lambdas);
     let results = run_grid(&grid, &RunOpts::jobs(jobs), |cell| {
-        run_scenario(&Scenario::paper(cell.protocol, cell.lambda, horizon_secs, cell.seed))
+        run_scenario(&Scenario::paper(
+            cell.protocol,
+            cell.lambda,
+            horizon_secs,
+            cell.seed,
+        ))
     });
     let points = grid
         .cells()
@@ -91,9 +96,7 @@ pub fn emit_figure(sweep: &Sweep, figure: Figure, out: &OutDir, plot: bool) {
                     sweep
                         .lambdas
                         .iter()
-                        .filter_map(|&l| {
-                            sweep.get(p, l).map(|r| (l, figure.metric().extract(r)))
-                        })
+                        .filter_map(|&l| sweep.get(p, l).map(|r| (l, figure.metric().extract(r))))
                         .collect(),
                 )
             })
@@ -172,7 +175,12 @@ pub fn run_replicated(
             seed,
             &cell.label(),
             |rep_seed| {
-                run_scenario(&Scenario::paper(cell.protocol, cell.lambda, horizon_secs, rep_seed))
+                run_scenario(&Scenario::paper(
+                    cell.protocol,
+                    cell.lambda,
+                    horizon_secs,
+                    rep_seed,
+                ))
             },
             |r| {
                 vec![
@@ -209,7 +217,13 @@ pub fn run_replicated(
     // reached, per point.
     let mut ledger = Table::new(
         "CI-width replication — replications per (protocol, lambda) point",
-        &["protocol", "lambda", "reps", "converged", "worst-rel-half-width"],
+        &[
+            "protocol",
+            "lambda",
+            "reps",
+            "converged",
+            "worst-rel-half-width",
+        ],
     )
     .float_precision(4);
     for (c, rep) in cells.iter().zip(&reps) {

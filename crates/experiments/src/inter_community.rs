@@ -17,7 +17,10 @@ use realtor_simcore::table::{Cell, Table};
 /// Run flat vs inter-community REALTOR on a `side × side` mesh tiled into
 /// `tile × tile` groups.
 pub fn run(side: usize, tile: usize, lambda: f64, horizon_secs: u64, seed: u64, out: &OutDir) {
-    assert!(side > tile, "tiling only makes sense when the mesh exceeds one tile");
+    assert!(
+        side > tile,
+        "tiling only makes sense when the mesh exceeds one tile"
+    );
     eprintln!(
         "ablation A5 (inter-community): {side}x{side} mesh, {tile}x{tile} tiles, lambda={lambda}"
     );
@@ -32,7 +35,12 @@ pub fn run(side: usize, tile: usize, lambda: f64, horizon_secs: u64, seed: u64, 
 
     // Flat REALTOR: every flood reaches all nodes.
     let flat = run_scenario_with(&base(ProtocolKind::Realtor), &mut |node| {
-        ProtocolKind::Realtor.build(node, realtor_core::ProtocolConfig::paper(), &Vec::new(), 0.0)
+        ProtocolKind::Realtor.build(
+            node,
+            realtor_core::ProtocolConfig::paper(),
+            &Vec::new(),
+            0.0,
+        )
     });
 
     // Inter-community REALTOR: scoped floods plus designated gateway relays

@@ -219,7 +219,10 @@ pub fn smoke(seed: u64, jobs: usize) {
             .map(|w| w.admission_probability())
             .collect::<Vec<_>>()
     );
-    assert!(a.dip_depth(strike) > 0.0, "the strike must leave a visible dip");
+    assert!(
+        a.dip_depth(strike) > 0.0,
+        "the strike must leave a visible dip"
+    );
     eprintln!(
         "lossy smoke ok: dip {:.3}, recovery in {} windows, {} datagrams lost",
         a.dip_depth(strike),

@@ -125,18 +125,12 @@ fn main() {
             &out,
         ),
         "fig9" => fig9::run(&lambdas, cluster_horizon, seed, scale, &out),
-        "ablation-h" => ablations::run_algorithm_h(
-            cli.get_f64("lambda", 7.0),
-            horizon.min(3000),
-            seed,
-            &out,
-        ),
-        "ablation-threshold" => ablations::run_thresholds(
-            cli.get_f64("lambda", 7.0),
-            horizon.min(3000),
-            seed,
-            &out,
-        ),
+        "ablation-h" => {
+            ablations::run_algorithm_h(cli.get_f64("lambda", 7.0), horizon.min(3000), seed, &out)
+        }
+        "ablation-threshold" => {
+            ablations::run_thresholds(cli.get_f64("lambda", 7.0), horizon.min(3000), seed, &out)
+        }
         "scalability" => scalability::run(
             cli.get_f64("per-node-lambda", 0.28),
             horizon.min(2000),
@@ -210,7 +204,13 @@ fn main() {
             if cli.get_flag("smoke") {
                 churn::smoke(seed, jobs, &out);
             } else {
-                churn::run(cli.get_f64("lambda", 6.0), horizon.min(1500), seed, jobs, &out);
+                churn::run(
+                    cli.get_f64("lambda", 6.0),
+                    horizon.min(1500),
+                    seed,
+                    jobs,
+                    &out,
+                );
             }
         }
         "cluster" => {

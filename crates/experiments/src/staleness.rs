@@ -35,7 +35,10 @@ pub fn run(lambda: f64, horizon_secs: u64, seed: u64, out: &OutDir) {
             jobs.push((p, name, ttl));
         }
     }
-    eprintln!("ablation A9 (staleness): {} points at lambda={lambda}", jobs.len());
+    eprintln!(
+        "ablation A9 (staleness): {} points at lambda={lambda}",
+        jobs.len()
+    );
     let results = run_parallel(&jobs, |&(p, _, ttl)| {
         let mut cfg = ProtocolConfig::paper();
         cfg.info_ttl = ttl;

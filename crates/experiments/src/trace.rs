@@ -41,11 +41,18 @@ fn build_scenario(name: &str, lambda: f64, horizon: u64, seed: u64) -> Scenario 
         "paper" => Scenario::paper(ProtocolKind::Realtor, lambda, horizon, seed),
         "lossy" => Scenario::paper(ProtocolKind::Realtor, lambda, horizon, seed)
             .with_channel(LinkQuality::lossy(0.05)),
-        "failover" => {
-            crate::failover::failover_scenario(lambda, horizon, seed, 6, RecoveryConfig::proactive())
-        }
+        "failover" => crate::failover::failover_scenario(
+            lambda,
+            horizon,
+            seed,
+            6,
+            RecoveryConfig::proactive(),
+        ),
         other => {
-            eprintln!("error: {}", crate::cli::validate_trace_scenario(other).unwrap_err());
+            eprintln!(
+                "error: {}",
+                crate::cli::validate_trace_scenario(other).unwrap_err()
+            );
             std::process::exit(2);
         }
     }
@@ -218,7 +225,10 @@ pub fn run(scenario_name: &str, lambda: f64, horizon: u64, seed: u64, jobs: usiz
     let jsonl = tracer.export_jsonl();
     for (i, line) in jsonl.lines().enumerate() {
         if let Err(e) = validate_json_line(line) {
-            eprintln!("FAIL: line {} of trace output is not valid JSON: {e}", i + 1);
+            eprintln!(
+                "FAIL: line {} of trace output is not valid JSON: {e}",
+                i + 1
+            );
             std::process::exit(1);
         }
     }

@@ -31,7 +31,10 @@ fn analyze_reconstructs_failover_lineage_and_matches_golden() {
     let a = analyze_str(&jsonl).expect("failover trace must parse");
 
     // Complete causal lineage for every admitted and every recovered task.
-    assert!(a.admitted > 0 && a.recovered > 0, "scenario must exercise recovery");
+    assert!(
+        a.admitted > 0 && a.recovered > 0,
+        "scenario must exercise recovery"
+    );
     assert_eq!(a.orphan_refs, 0, "no orphan span references");
     assert_eq!(
         a.admitted_complete, a.admitted,
@@ -45,7 +48,10 @@ fn analyze_reconstructs_failover_lineage_and_matches_golden() {
     // The critical path telescopes: its segment durations sum to the
     // time-to-recovery (last task_recover - first node_kill) exactly, i.e.
     // well within one event timestamp.
-    assert!(!a.critical_path.is_empty(), "kill wave must yield a critical path");
+    assert!(
+        !a.critical_path.is_empty(),
+        "kill wave must yield a critical path"
+    );
     let total_ticks: u64 = a
         .critical_path
         .iter()

@@ -53,7 +53,10 @@ fn assert_invariant(tag: &str, stems: &[&str], drive: impl Fn(usize, &OutDir)) {
 fn attack_artifacts_are_jobs_invariant() {
     assert_invariant(
         "attack",
-        &["ablation_a4_attack_timeseries", "ablation_a4_attack_summary"],
+        &[
+            "ablation_a4_attack_timeseries",
+            "ablation_a4_attack_summary",
+        ],
         |jobs, out| attack::run(4.0, 300, 42, 0.3, jobs, out),
     );
 }

@@ -6,7 +6,6 @@
 //! samples: downstream consumers only hear about changes larger than the
 //! configured resolution, plus every crossing of any registered watermark.
 
-
 /// A usage observation worth reporting.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UsageEvent {

@@ -100,11 +100,7 @@ pub fn simulate_periodic(
             }
         }
 
-        let upcoming = next_release
-            .iter()
-            .copied()
-            .filter(|&r| r < horizon)
-            .min();
+        let upcoming = next_release.iter().copied().filter(|&r| r < horizon).min();
 
         // Select the job to run.
         let job_idx = match policy {
@@ -116,11 +112,7 @@ pub fn simulate_periodic(
                 ready
                     .iter()
                     .enumerate()
-                    .min_by(|a, b| {
-                        a.1.deadline
-                            .cmp(&b.1.deadline)
-                            .then(a.1.seq.cmp(&b.1.seq))
-                    })
+                    .min_by(|a, b| a.1.deadline.cmp(&b.1.deadline).then(a.1.seq.cmp(&b.1.seq)))
                     .map(|(i, _)| i)
             }
             DispatchPolicy::FifoNonPreemptive => {
@@ -128,11 +120,7 @@ pub fn simulate_periodic(
                     ready
                         .iter()
                         .enumerate()
-                        .min_by(|a, b| {
-                            a.1.release
-                                .cmp(&b.1.release)
-                                .then(a.1.seq.cmp(&b.1.seq))
-                        })
+                        .min_by(|a, b| a.1.release.cmp(&b.1.release).then(a.1.seq.cmp(&b.1.seq)))
                         .map(|(i, _)| i)
                 } else {
                     None // keep the committed job
@@ -194,9 +182,18 @@ mod tests {
     fn edf_schedulable_set_never_misses() {
         // U = 0.5 + 0.25 + 0.2 = 0.95 <= 1: EDF must meet every deadline.
         let tasks = [
-            PeriodicTask { wcet_secs: 1.0, period_secs: 2.0 },
-            PeriodicTask { wcet_secs: 1.0, period_secs: 4.0 },
-            PeriodicTask { wcet_secs: 1.0, period_secs: 5.0 },
+            PeriodicTask {
+                wcet_secs: 1.0,
+                period_secs: 2.0,
+            },
+            PeriodicTask {
+                wcet_secs: 1.0,
+                period_secs: 4.0,
+            },
+            PeriodicTask {
+                wcet_secs: 1.0,
+                period_secs: 5.0,
+            },
         ];
         let r = simulate_periodic(&tasks, DispatchPolicy::EdfPreemptive, horizon(1000));
         assert!(r.released > 800);
@@ -207,8 +204,14 @@ mod tests {
     fn edf_full_utilization_still_schedulable() {
         // U = 1.0 exactly: still schedulable under EDF.
         let tasks = [
-            PeriodicTask { wcet_secs: 2.0, period_secs: 4.0 },
-            PeriodicTask { wcet_secs: 1.0, period_secs: 2.0 },
+            PeriodicTask {
+                wcet_secs: 2.0,
+                period_secs: 4.0,
+            },
+            PeriodicTask {
+                wcet_secs: 1.0,
+                period_secs: 2.0,
+            },
         ];
         let r = simulate_periodic(&tasks, DispatchPolicy::EdfPreemptive, horizon(400));
         assert_eq!(r.missed, 0);
@@ -218,8 +221,14 @@ mod tests {
     fn edf_overload_misses() {
         // U = 1.25: someone has to miss.
         let tasks = [
-            PeriodicTask { wcet_secs: 3.0, period_secs: 4.0 },
-            PeriodicTask { wcet_secs: 1.0, period_secs: 2.0 },
+            PeriodicTask {
+                wcet_secs: 3.0,
+                period_secs: 4.0,
+            },
+            PeriodicTask {
+                wcet_secs: 1.0,
+                period_secs: 2.0,
+            },
         ];
         let r = simulate_periodic(&tasks, DispatchPolicy::EdfPreemptive, horizon(400));
         assert!(r.missed > 0);
@@ -229,8 +238,14 @@ mod tests {
     fn fifo_misses_where_edf_does_not() {
         // A long job ahead of a tight one: FIFO blows the short deadline.
         let tasks = [
-            PeriodicTask { wcet_secs: 5.0, period_secs: 10.0 },
-            PeriodicTask { wcet_secs: 0.5, period_secs: 2.0 },
+            PeriodicTask {
+                wcet_secs: 5.0,
+                period_secs: 10.0,
+            },
+            PeriodicTask {
+                wcet_secs: 0.5,
+                period_secs: 2.0,
+            },
         ];
         let edf = simulate_periodic(&tasks, DispatchPolicy::EdfPreemptive, horizon(1000));
         let fifo = simulate_periodic(&tasks, DispatchPolicy::FifoNonPreemptive, horizon(1000));
@@ -243,7 +258,10 @@ mod tests {
 
     #[test]
     fn utilization_accessor() {
-        let t = PeriodicTask { wcet_secs: 1.0, period_secs: 4.0 };
+        let t = PeriodicTask {
+            wcet_secs: 1.0,
+            period_secs: 4.0,
+        };
         assert_eq!(t.utilization(), 0.25);
     }
 
@@ -251,10 +269,19 @@ mod tests {
     fn work_conservation() {
         // Completed work cannot exceed the horizon on one CPU.
         let tasks = [
-            PeriodicTask { wcet_secs: 1.0, period_secs: 1.5 },
-            PeriodicTask { wcet_secs: 1.0, period_secs: 2.0 },
+            PeriodicTask {
+                wcet_secs: 1.0,
+                period_secs: 1.5,
+            },
+            PeriodicTask {
+                wcet_secs: 1.0,
+                period_secs: 2.0,
+            },
         ];
-        for policy in [DispatchPolicy::EdfPreemptive, DispatchPolicy::FifoNonPreemptive] {
+        for policy in [
+            DispatchPolicy::EdfPreemptive,
+            DispatchPolicy::FifoNonPreemptive,
+        ] {
             let r = simulate_periodic(&tasks, policy, horizon(300));
             // every completed job of task 0/1 took 1 s
             assert!(

@@ -9,16 +9,12 @@
 use realtor_simcore::SimTime;
 
 /// Globally unique task identifier.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TaskId(pub u64);
 
 /// Static priority class (lower value = more urgent), as used by the Agile
 /// Objects job scheduler ("static priority and EDF in the same priority").
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Priority(pub u8);
 
 /// A schedulable unit of work.

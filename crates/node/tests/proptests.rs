@@ -198,7 +198,8 @@ fn utilization_admission_conserves() {
             let mut ac = UtilizationAdmission::new(1.0);
             let mut admitted = Vec::new();
             for (i, &s) in shares.iter().enumerate() {
-                if ac.try_reserve(TaskId(i as u64), s) == realtor_node::AdmissionDecision::Admitted {
+                if ac.try_reserve(TaskId(i as u64), s) == realtor_node::AdmissionDecision::Admitted
+                {
                     admitted.push((TaskId(i as u64), s));
                 }
                 prop_assert!(ac.allocated() <= 1.0 + 1e-9);

@@ -250,7 +250,10 @@ fn report_progress(completed: usize, total: usize) {
     if completed == total || completed.is_multiple_of(stride) {
         // stderr is a diagnostics channel here, never an artifact: write
         // through the handle so a closed pipe cannot panic the sweep.
-        let _ = writeln!(std::io::stderr(), "  [runner] {completed}/{total} cells done");
+        let _ = writeln!(
+            std::io::stderr(),
+            "  [runner] {completed}/{total} cells done"
+        );
     }
 }
 
@@ -322,12 +325,7 @@ where
 /// merge as cells complete. Returns the grid-ordered results and the
 /// merged bytes (`header` first, then every cell's chunk in grid order) —
 /// byte-identical to a serial write for any job count.
-pub fn run_grid_csv<R, F>(
-    grid: &SweepGrid,
-    opts: &RunOpts,
-    header: &str,
-    f: F,
-) -> (Vec<R>, String)
+pub fn run_grid_csv<R, F>(grid: &SweepGrid, opts: &RunOpts, header: &str, f: F) -> (Vec<R>, String)
 where
     R: Send,
     F: Fn(&GridCell) -> (R, String) + Sync,
@@ -391,11 +389,14 @@ mod tests {
         for ca in &cells_a {
             let cb = cells_b
                 .iter()
-                .find(|c| {
-                    c.protocol == ca.protocol && c.lambda == ca.lambda && c.loss == ca.loss
-                })
+                .find(|c| c.protocol == ca.protocol && c.lambda == ca.lambda && c.loss == ca.loss)
                 .expect("shared coordinates exist in both grids");
-            assert_eq!(ca.seed, cb.seed, "seed must follow coordinates: {}", ca.label());
+            assert_eq!(
+                ca.seed,
+                cb.seed,
+                "seed must follow coordinates: {}",
+                ca.label()
+            );
             assert_eq!(ca.label(), cb.label());
         }
         // And distinct coordinates get distinct seeds.
@@ -410,7 +411,14 @@ mod tests {
         let g = grid();
         let serial = run_grid(&g, &RunOpts::serial(), |c| c.label());
         for jobs in [2, 8] {
-            let par = run_grid(&g, &RunOpts { jobs, progress: false }, |c| c.label());
+            let par = run_grid(
+                &g,
+                &RunOpts {
+                    jobs,
+                    progress: false,
+                },
+                |c| c.label(),
+            );
             assert_eq!(par, serial, "jobs={jobs}");
         }
     }
@@ -422,7 +430,15 @@ mod tests {
         let make = |c: &GridCell| (c.index, format!("{},{}\n", c.label(), c.seed));
         let (_, serial) = run_grid_csv(&g, &RunOpts::serial(), header, make);
         for jobs in [2, 8] {
-            let (_, par) = run_grid_csv(&g, &RunOpts { jobs, progress: false }, header, make);
+            let (_, par) = run_grid_csv(
+                &g,
+                &RunOpts {
+                    jobs,
+                    progress: false,
+                },
+                header,
+                make,
+            );
             assert_eq!(par, serial, "jobs={jobs}");
         }
         assert!(serial.starts_with(header));

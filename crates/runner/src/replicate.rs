@@ -109,7 +109,10 @@ pub fn replicate_until_ci<R>(
     metrics: impl Fn(&R) -> Vec<f64>,
 ) -> Replication<R> {
     assert!(policy.min_reps >= 2, "CI needs at least two replications");
-    assert!(policy.min_reps <= policy.max_reps, "min_reps must not exceed max_reps");
+    assert!(
+        policy.min_reps <= policy.max_reps,
+        "min_reps must not exceed max_reps"
+    );
     let stream = format!("rep/{cell_label}");
     let mut results: Vec<R> = Vec::new();
     let mut accs: Vec<Welford> = Vec::new();
@@ -121,7 +124,11 @@ pub fn replicate_until_ci<R>(
         if accs.is_empty() {
             accs = vec![Welford::new(); ms.len()];
         }
-        assert_eq!(ms.len(), accs.len(), "metric count must be stable across reps");
+        assert_eq!(
+            ms.len(),
+            accs.len(),
+            "metric count must be stable across reps"
+        );
         for (acc, m) in accs.iter_mut().zip(&ms) {
             acc.record(*m);
         }
@@ -193,15 +200,18 @@ mod tests {
         // Running with a larger cap replays the same seeds for the shared
         // prefix: replication k depends only on (grid seed, label, k).
         let seeds = |cap| {
-            let policy = CiPolicy::default().with_rel_half_width(1e-12).with_reps(2, cap);
-            replicate_until_ci(&policy, 42, "cell/x", |s| s, |&s| vec![s as f64])
-                .results
+            let policy = CiPolicy::default()
+                .with_rel_half_width(1e-12)
+                .with_reps(2, cap);
+            replicate_until_ci(&policy, 42, "cell/x", |s| s, |&s| vec![s as f64]).results
         };
         let short = seeds(4);
         let long = seeds(9);
         assert_eq!(short[..], long[..4]);
         // And they differ from another cell's seeds.
-        let policy = CiPolicy::default().with_rel_half_width(1e-12).with_reps(2, 4);
+        let policy = CiPolicy::default()
+            .with_rel_half_width(1e-12)
+            .with_reps(2, 4);
         let other = replicate_until_ci(&policy, 42, "cell/y", |s| s, |&s| vec![s as f64]);
         assert_ne!(short[0], other.results[0]);
     }
@@ -209,7 +219,9 @@ mod tests {
     #[test]
     fn deterministic_across_calls() {
         let go = || {
-            let policy = CiPolicy::default().with_rel_half_width(0.2).with_reps(2, 12);
+            let policy = CiPolicy::default()
+                .with_rel_half_width(0.2)
+                .with_reps(2, 12);
             let out = replicate_until_ci(
                 &policy,
                 7,
@@ -226,7 +238,9 @@ mod tests {
     fn every_watched_metric_must_converge() {
         // First metric is constant, second is noise: the pair converges
         // later than the first metric alone would.
-        let policy = CiPolicy::default().with_rel_half_width(0.5).with_reps(2, 32);
+        let policy = CiPolicy::default()
+            .with_rel_half_width(0.5)
+            .with_reps(2, 32);
         let out = replicate_until_ci(
             &policy,
             11,

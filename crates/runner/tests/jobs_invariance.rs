@@ -65,8 +65,12 @@ fn run_at(grid: &SweepGrid, jobs: usize) -> (Vec<SimResult>, String) {
 /// Generate a small random grid: 1–3 protocols, 1–3 λs, 1–2 loss levels,
 /// any seed, either seed policy.
 fn gen_grid(rng: &mut realtor_simcore::SimRng) -> (Vec<u8>, Vec<f64>, Vec<f64>, u64, bool) {
-    let protos = gen::vec(rng, 1, 3, |r| gen::u8_in(r, 0, ProtocolKind::ALL.len() as u8));
-    let lambdas = gen::vec(rng, 1, 3, |r| (gen::f64_in(r, 2.0, 8.0) * 2.0).round() / 2.0);
+    let protos = gen::vec(rng, 1, 3, |r| {
+        gen::u8_in(r, 0, ProtocolKind::ALL.len() as u8)
+    });
+    let lambdas = gen::vec(rng, 1, 3, |r| {
+        (gen::f64_in(r, 2.0, 8.0) * 2.0).round() / 2.0
+    });
     let losses = gen::vec(rng, 1, 2, |r| gen::one_of(r, &[0.0, 0.05, 0.1]));
     (protos, lambdas, losses, rng.u64(), rng.bernoulli(0.5))
 }

@@ -1,7 +1,9 @@
 //! Simulation scenario configuration.
 
 use realtor_core::{ProtocolConfig, ProtocolKind};
-use realtor_net::{ChannelModel, FloodCharge, LinkQuality, TargetingStrategy, Topology, UnicastCharge};
+use realtor_net::{
+    ChannelModel, FloodCharge, LinkQuality, TargetingStrategy, Topology, UnicastCharge,
+};
 use realtor_simcore::{SimDuration, SimTime};
 use realtor_workload::{AttackScenario, AttackScenarioError, ChurnConfig, WorkloadSpec};
 
@@ -131,10 +133,19 @@ impl AdversaryConfig {
     /// Validate against a simulation horizon.
     pub fn validate(&self, horizon: SimTime) {
         assert!(self.kills > 0, "adversary must kill at least one node");
-        assert!(!self.interval.is_zero(), "adversary interval must be positive");
-        assert!(!self.downtime.is_zero(), "adversary downtime must be positive");
+        assert!(
+            !self.interval.is_zero(),
+            "adversary interval must be positive"
+        );
+        assert!(
+            !self.downtime.is_zero(),
+            "adversary downtime must be positive"
+        );
         assert!(self.start < self.end, "adversary window must be non-empty");
-        assert!(self.end < horizon, "adversary window must end before the horizon");
+        assert!(
+            self.end < horizon,
+            "adversary window must end before the horizon"
+        );
     }
 }
 
@@ -377,8 +388,8 @@ mod tests {
 
     #[test]
     fn with_topology_rescatters_workload() {
-        let s = Scenario::paper(ProtocolKind::Realtor, 5.0, 100, 1)
-            .with_topology(Topology::mesh(3, 3));
+        let s =
+            Scenario::paper(ProtocolKind::Realtor, 5.0, 100, 1).with_topology(Topology::mesh(3, 3));
         assert_eq!(s.workload.node_count, 9);
     }
 
@@ -404,11 +415,8 @@ mod tests {
             .clone()
             .try_with_attack(bad, TargetingStrategy::Random)
             .is_err());
-        let good = AttackScenario::strike_and_recover(
-            SimTime::from_secs(40),
-            SimTime::from_secs(70),
-            5,
-        );
+        let good =
+            AttackScenario::strike_and_recover(SimTime::from_secs(40), SimTime::from_secs(70), 5);
         assert!(s.try_with_attack(good, TargetingStrategy::Random).is_ok());
     }
 

@@ -151,7 +151,11 @@ impl SimResult {
         if self.node_stats.is_empty() {
             return (0.0, 0.0);
         }
-        let mean = self.node_stats.iter().map(|s| s.mean_occupancy).sum::<f64>()
+        let mean = self
+            .node_stats
+            .iter()
+            .map(|s| s.mean_occupancy)
+            .sum::<f64>()
             / self.node_stats.len() as f64;
         let max = self
             .node_stats
@@ -170,7 +174,9 @@ impl SimResult {
         for (i, w) in self.windows.iter().enumerate() {
             // A window's end is the next window's start; the last window's
             // end is the horizon, which we never treat as "before".
-            let Some(next) = self.windows.get(i + 1) else { break };
+            let Some(next) = self.windows.get(i + 1) else {
+                break;
+            };
             if next.start <= before && w.offered > 0 {
                 sum += w.admission_probability();
                 n += 1;
@@ -208,12 +214,7 @@ impl SimResult {
     /// admission probability returns within `epsilon` of the pre-`strike`
     /// baseline (0 = the first post-restore window is already recovered).
     /// `None` when it never recovers inside the run, or no baseline exists.
-    pub fn time_to_recovery(
-        &self,
-        strike: SimTime,
-        restore: SimTime,
-        epsilon: f64,
-    ) -> Option<u64> {
+    pub fn time_to_recovery(&self, strike: SimTime, restore: SimTime, epsilon: f64) -> Option<u64> {
         let base = self.baseline_admission(strike)?;
         self.windows
             .iter()
@@ -367,7 +368,15 @@ mod tests {
     #[test]
     fn survivability_metrics() {
         // Baseline 1.0 for 3 windows, dip to 0.5, recover at window start 50.
-        let r = windowed(&[(10, 10), (10, 10), (10, 10), (10, 5), (10, 6), (10, 10), (10, 10)]);
+        let r = windowed(&[
+            (10, 10),
+            (10, 10),
+            (10, 10),
+            (10, 5),
+            (10, 6),
+            (10, 10),
+            (10, 10),
+        ]);
         let strike = SimTime::from_secs(30);
         let restore = SimTime::from_secs(50);
         assert_eq!(r.baseline_admission(strike), Some(1.0));

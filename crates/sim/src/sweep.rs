@@ -229,10 +229,7 @@ pub fn run_sweep(
 /// Run a job list on up to `available_parallelism` OS threads, preserving
 /// input order in the output. A thin wrapper over `simcore::pool` — sweep
 /// callers that need an explicit worker count use the grid runner instead.
-pub fn run_parallel<J: Sync, R: Send>(
-    jobs: &[J],
-    f: impl Fn(&J) -> R + Sync,
-) -> Vec<R> {
+pub fn run_parallel<J: Sync, R: Send>(jobs: &[J], f: impl Fn(&J) -> R + Sync) -> Vec<R> {
     let workers = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4)
@@ -277,7 +274,11 @@ mod tests {
         let rs = sweep.replicas(ProtocolKind::Realtor, 6.0).unwrap();
         assert_eq!(rs.len(), 4);
         let (mean, ci) = sweep
-            .mean_ci(ProtocolKind::Realtor, 6.0, FigureMetric::AdmissionProbability)
+            .mean_ci(
+                ProtocolKind::Realtor,
+                6.0,
+                FigureMetric::AdmissionProbability,
+            )
             .unwrap();
         assert!((0.5..=1.0).contains(&mean));
         assert!((0.0..0.2).contains(&ci), "ci {ci}");

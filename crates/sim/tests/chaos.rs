@@ -153,11 +153,7 @@ fn partitions_block_traffic_without_killing_nodes() {
     let scenario = Scenario::paper(ProtocolKind::Realtor, 6.0, HORIZON_SECS, 42)
         .with_window(SimDuration::from_secs(10))
         .with_attack(
-            AttackScenario::partition_and_heal(
-                SimTime::from_secs(100),
-                SimTime::from_secs(200),
-                3,
-            ),
+            AttackScenario::partition_and_heal(SimTime::from_secs(100), SimTime::from_secs(200), 3),
             TargetingStrategy::Random,
         );
     let r = run_scenario(&scenario);
@@ -170,7 +166,12 @@ fn partitions_block_traffic_without_killing_nodes() {
     assert!(r.windows.iter().all(|w| w.alive_nodes == 25));
     assert_eq!(r.tasks_interrupted, 0, "no tasks die from a pure partition");
     // The partition does not leak into the ledger's charged total.
-    let baseline = run_scenario(&Scenario::paper(ProtocolKind::Realtor, 6.0, HORIZON_SECS, 42));
+    let baseline = run_scenario(&Scenario::paper(
+        ProtocolKind::Realtor,
+        6.0,
+        HORIZON_SECS,
+        42,
+    ));
     assert_eq!(baseline.ledger.partition_dropped_count, 0);
 }
 

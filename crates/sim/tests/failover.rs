@@ -32,11 +32,7 @@ fn scenario(recovery: RecoveryConfig, warned: bool, seed: u64) -> Scenario {
             KILLS,
         )
     } else {
-        AttackScenario::strike_and_recover(
-            SimTime::from_secs(100),
-            SimTime::from_secs(200),
-            KILLS,
-        )
+        AttackScenario::strike_and_recover(SimTime::from_secs(100), SimTime::from_secs(200), KILLS)
     };
     Scenario::paper(ProtocolKind::Realtor, 6.0, 300, seed)
         .with_protocol_config(ProtocolConfig::paper().with_failure_detector(detector()))
@@ -79,7 +75,10 @@ fn zero_checkpoint_fraction_destroys_every_interrupted_task() {
     let cfg = RecoveryConfig::reactive().with_checkpoint_fraction(0.0);
     let r = run_scenario(&scenario(cfg, false, 42));
     assert!(r.tasks_interrupted > 0);
-    assert_eq!(r.tasks_recovered, 0, "nothing to recover without checkpoints");
+    assert_eq!(
+        r.tasks_recovered, 0,
+        "nothing to recover without checkpoints"
+    );
     assert_eq!(r.tasks_destroyed, r.tasks_interrupted);
     assert_eq!(r.recovery_attempts, 0);
 }
@@ -87,7 +86,10 @@ fn zero_checkpoint_fraction_destroys_every_interrupted_task() {
 #[test]
 fn proactive_evacuation_moves_work_before_the_strike() {
     let r = run_scenario(&scenario(RecoveryConfig::proactive(), true, 42));
-    assert!(r.evacuation_attempts > 0, "warning must trigger evacuations");
+    assert!(
+        r.evacuation_attempts > 0,
+        "warning must trigger evacuations"
+    );
     assert!(r.evacuation_successes > 0, "some evacuations must land");
     assert!(r.work_evacuated > 0.0);
     assert!(r.evacuation_successes <= r.evacuation_attempts);

@@ -33,8 +33,14 @@ fn assert_scopes_agree(name: &str, scenario: impl Fn(ProtocolKind) -> Scenario) 
         let s = scenario(kind);
         let implicit = run(&s, false);
         let explicit = run(&s, true);
-        assert!(implicit.offered > 0, "{name}/{kind:?}: the scenario offered no work");
-        assert_eq!(implicit, explicit, "{name}/{kind:?}: implicit scope diverged");
+        assert!(
+            implicit.offered > 0,
+            "{name}/{kind:?}: the scenario offered no work"
+        );
+        assert_eq!(
+            implicit, explicit,
+            "{name}/{kind:?}: implicit scope diverged"
+        );
     }
 }
 

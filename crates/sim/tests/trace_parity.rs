@@ -108,8 +108,7 @@ fn filtered_tracer_is_still_observational() {
 #[test]
 fn golden_cell_parity_all_protocols() {
     for protocol in ProtocolKind::ALL {
-        let scenario = Scenario::paper(protocol, 6.0, 400, 42)
-            .with_topology(Topology::mesh(5, 5));
+        let scenario = Scenario::paper(protocol, 6.0, 400, 42).with_topology(Topology::mesh(5, 5));
         let plain = run_scenario(&scenario);
         let traced = run_scenario_traced(&scenario, Tracer::bounded(100_000));
         assert!(

@@ -766,7 +766,12 @@ mod tests {
         let mut ladder = EventQueue::new();
         let mut oracle = HeapQueue::new();
         for i in 0..20 {
-            both(&mut ladder, &mut oracle, SimTime::ZERO + SimDuration::from_millis(i), i);
+            both(
+                &mut ladder,
+                &mut oracle,
+                SimTime::ZERO + SimDuration::from_millis(i),
+                i,
+            );
         }
         both(&mut ladder, &mut oracle, SimTime::from_secs(60), u64::MAX);
         // The first pop distills the band [0, 2^28 ns) into the head run.
@@ -794,7 +799,10 @@ mod tests {
             }
         }
         assert!(now < ladder.bar, "the burst landed inside the drained band");
-        assert!(!ladder.late.is_empty(), "below-bar events ride the late run");
+        assert!(
+            !ladder.late.is_empty(),
+            "below-bar events ride the late run"
+        );
         while pop_both(&mut ladder, &mut oracle).is_some() {}
         assert_eq!(burst_order, (1_000..1_400).collect::<Vec<_>>());
         assert!(ladder.late.is_empty() && ladder.is_empty());

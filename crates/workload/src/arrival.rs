@@ -238,8 +238,8 @@ impl ArrivalGen {
                         } else {
                             mean_calm_secs
                         };
-                        self.state_until =
-                            self.state_until.max(t) + SimDuration::from_secs_f64(self.rng.exp(mean));
+                        self.state_until = self.state_until.max(t)
+                            + SimDuration::from_secs_f64(self.rng.exp(mean));
                     }
                     let rate = scale * if self.in_burst { burst_rate } else { calm_rate };
                     let candidate = t + SimDuration::from_secs_f64(self.rng.exp(1.0 / rate));

@@ -286,11 +286,7 @@ impl AttackScenario {
     /// fine and stays valid), contradictory orderings that would be silent
     /// no-ops (Restore with no prior kill, Heal with no prior Partition),
     /// and partitions into an impossible number of components.
-    pub fn validate(
-        &self,
-        horizon: SimTime,
-        node_count: usize,
-    ) -> Result<(), AttackScenarioError> {
+    pub fn validate(&self, horizon: SimTime, node_count: usize) -> Result<(), AttackScenarioError> {
         let mut kill_seen = false;
         let mut partition_seen = false;
         for (index, e) in self.events.iter().enumerate() {
@@ -386,27 +382,16 @@ mod tests {
 
     #[test]
     fn strike_and_recover_shape() {
-        let s = AttackScenario::strike_and_recover(
-            SimTime::from_secs(100),
-            SimTime::from_secs(200),
-            5,
-        );
+        let s =
+            AttackScenario::strike_and_recover(SimTime::from_secs(100), SimTime::from_secs(200), 5);
         assert_eq!(s.events().len(), 2);
-        assert_eq!(
-            s.events()[0].action,
-            AttackAction::Kill { count: 5 }
-        );
+        assert_eq!(s.events()[0].action, AttackAction::Kill { count: 5 });
         assert_eq!(s.events()[1].action, AttackAction::RestoreAll);
     }
 
     #[test]
     fn rolling_waves_alternate_restore_kill() {
-        let s = AttackScenario::rolling(
-            SimTime::from_secs(10),
-            SimDuration::from_secs(100),
-            2,
-            3,
-        );
+        let s = AttackScenario::rolling(SimTime::from_secs(10), SimDuration::from_secs(100), 2, 3);
         // wave 0: kill; waves 1, 2: restore + kill
         assert_eq!(s.events().len(), 5);
         assert_eq!(s.events()[0].action, AttackAction::Kill { count: 2 });
@@ -421,19 +406,11 @@ mod tests {
 
     #[test]
     fn validate_accepts_sane_scripts() {
-        let s = AttackScenario::strike_and_recover(
-            SimTime::from_secs(100),
-            SimTime::from_secs(200),
-            5,
-        );
+        let s =
+            AttackScenario::strike_and_recover(SimTime::from_secs(100), SimTime::from_secs(200), 5);
         assert_eq!(s.validate(SimTime::from_secs(300), 25), Ok(()));
         // rolling() emits RestoreAll-then-Kill at the same instant — valid.
-        let r = AttackScenario::rolling(
-            SimTime::from_secs(10),
-            SimDuration::from_secs(50),
-            2,
-            3,
-        );
+        let r = AttackScenario::rolling(SimTime::from_secs(10), SimDuration::from_secs(50), 2, 3);
         assert_eq!(r.validate(SimTime::from_secs(300), 25), Ok(()));
     }
 
@@ -500,7 +477,10 @@ mod tests {
                 },
             }])
         };
-        assert_eq!(warned(100, 50).validate(SimTime::from_secs(300), 25), Ok(()));
+        assert_eq!(
+            warned(100, 50).validate(SimTime::from_secs(300), 25),
+            Ok(())
+        );
         // Warning inside the horizon but the strike lands past it.
         assert!(matches!(
             warned(250, 60).validate(SimTime::from_secs(300), 25),
@@ -556,11 +536,8 @@ mod tests {
             s.validate(SimTime::from_secs(300), 25),
             Err(AttackScenarioError::HealBeforePartition { index: 0, .. })
         ));
-        let ok = AttackScenario::partition_and_heal(
-            SimTime::from_secs(40),
-            SimTime::from_secs(70),
-            2,
-        );
+        let ok =
+            AttackScenario::partition_and_heal(SimTime::from_secs(40), SimTime::from_secs(70), 2);
         assert_eq!(ok.validate(SimTime::from_secs(300), 25), Ok(()));
     }
 

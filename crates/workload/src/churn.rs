@@ -164,7 +164,10 @@ impl ChurnProcess {
     /// restores already applied). The fresh victims are remembered for the
     /// next tick.
     pub fn tick(&mut self, alive_after_restore: &[usize], node_count: usize) -> Vec<usize> {
-        let want = self.config.wave_size(node_count).min(alive_after_restore.len());
+        let want = self
+            .config
+            .wave_size(node_count)
+            .min(alive_after_restore.len());
         let kill: Vec<usize> = self
             .rng
             .sample_indices(alive_after_restore.len(), want)

@@ -28,8 +28,7 @@ fn main() {
         cfg.host.capacity_secs = 50.0;
 
         let cluster = Cluster::start(&cfg);
-        let trace =
-            WorkloadSpec::paper(lambda, hosts, SimTime::from_secs(300), 42).generate();
+        let trace = WorkloadSpec::paper(lambda, hosts, SimTime::from_secs(300), 42).generate();
         cluster.run_workload(&trace);
         cluster.settle(2.0);
         let report = cluster.shutdown();

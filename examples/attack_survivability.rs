@@ -24,7 +24,11 @@ fn main() {
     );
     println!("lambda={lambda} (light load: survivors have spare capacity)\n");
 
-    for kind in [ProtocolKind::Realtor, ProtocolKind::PurePush, ProtocolKind::PurePull] {
+    for kind in [
+        ProtocolKind::Realtor,
+        ProtocolKind::PurePush,
+        ProtocolKind::PurePull,
+    ] {
         let scenario = Scenario::paper(kind, lambda, horizon, 7)
             .with_attack(
                 AttackScenario::strike_and_recover(strike, recover, victims),
@@ -33,7 +37,11 @@ fn main() {
             .with_window(SimDuration::from_secs(250));
         let result = run_scenario(&scenario);
 
-        println!("{} — overall admission {:.4}", kind.label(), result.admission_probability());
+        println!(
+            "{} — overall admission {:.4}",
+            kind.label(),
+            result.admission_probability()
+        );
         println!("  window    alive  admission");
         for w in &result.windows {
             let bar_len = (w.admission_probability() * 40.0).round() as usize;

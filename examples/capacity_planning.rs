@@ -39,8 +39,7 @@ fn main() {
             let lambda = load * n as f64 / mean_task;
             let mut row = format!("  {load:>6.2} {lambda:>9.2} |");
             for kind in [ProtocolKind::Realtor, ProtocolKind::PurePush] {
-                let scenario = Scenario::paper(kind, lambda, 2_000, 11)
-                    .with_topology(topo.clone());
+                let scenario = Scenario::paper(kind, lambda, 2_000, 11).with_topology(topo.clone());
                 let r = run_scenario(&scenario);
                 row.push_str(&format!(
                     " {:>12.4} {:>14.2} |",

@@ -47,8 +47,8 @@ fn main() {
     for (name, cfg) in configs {
         // The scenario regenerates the same trace from the same spec, so
         // both configurations see the recorded workload.
-        let scenario = Scenario::paper(ProtocolKind::Realtor, 7.0, 2_000, 2026)
-            .with_protocol_config(cfg);
+        let scenario =
+            Scenario::paper(ProtocolKind::Realtor, 7.0, 2_000, 2026).with_protocol_config(cfg);
         let r = run_scenario(&scenario);
         println!(
             "{:<44} {:>10.4} {:>12.2} {:>12}",

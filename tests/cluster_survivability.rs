@@ -82,6 +82,12 @@ fn dead_hosts_refuse_migrations() {
     cluster.settle(5.0);
     let report = cluster.shutdown();
     assert_eq!(report.offered, 20);
-    assert!(report.rejected > 0, "overflow must be rejected, not admitted");
-    assert_eq!(report.admitted_migrated, 0, "nothing can migrate to a dead host");
+    assert!(
+        report.rejected > 0,
+        "overflow must be rejected, not admitted"
+    );
+    assert_eq!(
+        report.admitted_migrated, 0,
+        "nothing can migrate to a dead host"
+    );
 }

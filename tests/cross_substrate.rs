@@ -27,8 +27,8 @@ fn cluster_admission(lambda: f64, hosts: usize, capacity: f64, horizon: u64) -> 
 }
 
 fn sim_admission(lambda: f64, capacity: f64, horizon: u64) -> f64 {
-    let scenario = Scenario::paper(ProtocolKind::Realtor, lambda, horizon, 42)
-        .with_capacity(capacity);
+    let scenario =
+        Scenario::paper(ProtocolKind::Realtor, lambda, horizon, 42).with_capacity(capacity);
     run_scenario(&scenario).admission_probability()
 }
 

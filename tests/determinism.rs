@@ -2,8 +2,8 @@
 
 use realtor::core::ProtocolKind;
 use realtor::sim::{run_scenario, Scenario};
-use realtor::workload::{Trace, WorkloadSpec};
 use realtor::simcore::SimTime;
+use realtor::workload::{Trace, WorkloadSpec};
 
 /// Identical scenario (seed included) ⇒ bit-identical results, for every
 /// protocol, including message ledgers and migration counts.

@@ -92,7 +92,10 @@ fn ideal_channel_reproduces_pre_channel_golden_values() {
         assert_eq!(r.ledger.pledge_count, g.pledge, "{tag} pledge count");
         assert_eq!(r.ledger.push_count, g.push, "{tag} push count");
         assert_eq!(r.ledger.migration_count, g.migr, "{tag} migration count");
-        assert_eq!(r.migration_successes, g.migr_ok, "{tag} migration successes");
+        assert_eq!(
+            r.migration_successes, g.migr_ok,
+            "{tag} migration successes"
+        );
         // An ideal channel loses and duplicates nothing, by construction.
         assert_eq!(r.ledger.lost_count, 0, "{tag} lost");
         assert_eq!(r.ledger.duplicated_count, 0, "{tag} duplicated");

@@ -140,11 +140,17 @@ fn workspace_builds_with_vendored_code_only() {
     let mut a = SimRng::stream(7, "hermetic");
     let mut b = SimRng::stream(7, "hermetic");
     assert_eq!(a.u64(), b.u64(), "in-tree PRNG must be deterministic");
-    forall("hermetic_smoke", 1, 16, |r| gen::u64_in(r, 0, 10), |&x| {
-        if x < 10 {
-            Ok(())
-        } else {
-            Err(format!("{x} out of range"))
-        }
-    });
+    forall(
+        "hermetic_smoke",
+        1,
+        16,
+        |r| gen::u64_in(r, 0, 10),
+        |&x| {
+            if x < 10 {
+                Ok(())
+            } else {
+                Err(format!("{x} out of range"))
+            }
+        },
+    );
 }

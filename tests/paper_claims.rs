@@ -66,7 +66,10 @@ fn realtor_overhead_beats_pure_push() {
         .get(ProtocolKind::PurePull, 10.0)
         .unwrap()
         .total_messages();
-    assert!(pull_heavy > pull_light * 10.0, "pull cost must grow with load");
+    assert!(
+        pull_heavy > pull_light * 10.0,
+        "pull cost must grow with load"
+    );
 }
 
 /// Claim 3 (size independence): REALTOR's per-node overhead per admitted
