@@ -5,8 +5,9 @@
 //! * [`topology`] — undirected graphs and the generators used by the paper
 //!   (the 5×5 mesh of Figure 4) and the ablations (torus, ring, star,
 //!   complete, seeded random),
-//! * [`routing`] — all-pairs BFS hop distances (2 B per pair) with next
-//!   hops derived on demand, recomputable over the surviving subgraph,
+//! * [`routing`] — BFS hop distances, one 2 B-per-node row per
+//!   destination filled on first query, with next hops derived from the
+//!   rows, built in O(N + E) over the surviving subgraph,
 //! * [`cost`] — the paper's Section-5 message accounting (flood = #links,
 //!   unicast = constant 4) plus an exact-hops variant,
 //! * [`fault`] — node-failure injection modelling external attacks,

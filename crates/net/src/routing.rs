@@ -1,17 +1,24 @@
-//! All-pairs shortest-path routing over a [`Topology`].
+//! Shortest-path routing over a [`Topology`], one destination row at a
+//! time.
 //!
 //! The paper's message accounting charges a unicast PLEDGE "the average
 //! number of shortest paths" (they use the constant 4 on the 5×5 mesh); this
 //! module computes exact per-pair hop counts by BFS so the cost model can use
-//! either exact or constant charging. Routing tables can be recomputed over a
-//! subset of alive nodes to model attacks.
+//! either exact or constant charging. Routing can be built over a subset of
+//! alive nodes and with links removed, to model attacks.
 //!
-//! Memory: the table stores only hop distances, 2 B per ordered pair (5 MB
-//! at N = 1600), plus a copy of the adjacency it was built over. Next hops
-//! are derived from the distances on demand (see [`Routing::next_hop`]);
-//! only paths over degraded links ask for them.
+//! Memory and time: building a [`Routing`] copies the adjacency and the
+//! alive set, O(N + E), and computes no distance. The hop distances to a
+//! destination are one row of 2 B per node, filled by a single BFS from
+//! that destination the first time any query names it; distances are
+//! symmetric, so that row answers `hops`, `reachable` and `next_hop` from
+//! every source. A run pays one BFS per destination it actually sends to,
+//! and a fault batch that replaces the routing throws away only the rows
+//! filled since the last one. Whole-graph figures ([`Routing::mean_path_length`],
+//! [`Routing::diameter`]) stream BFS through one scratch row and fill none.
 
 use crate::topology::{NodeId, Topology};
+use std::cell::OnceCell;
 
 /// Hop distance; `HOPS_UNREACHABLE` marks disconnected pairs.
 pub type Hops = u32;
@@ -24,27 +31,32 @@ pub const HOPS_UNREACHABLE: Hops = Hops::MAX;
 type Dist = u16;
 const NO_PATH: Dist = Dist::MAX;
 
-/// All-pairs hop counts over one (possibly filtered) topology and alive set.
+/// Hop counts over one (possibly filtered) topology and alive set, filled
+/// per destination on demand.
 #[derive(Debug, Clone)]
 pub struct Routing {
     n: usize,
-    /// `dist[src * n + dst]`
-    dist: Vec<Dist>,
-    /// The adjacency the table was built over, in compressed rows: the
+    /// The alive set the distances are over; dead nodes neither originate,
+    /// receive, nor forward.
+    alive: Vec<bool>,
+    /// The adjacency the distances are over, in compressed rows: the
     /// neighbours of `u` are `adj[adj_start[u]..adj_start[u + 1]]`, in
     /// ascending id order. A copy, because the topology may be a filtered
     /// one (links cut by an attack or partition) that the caller drops.
     adj_start: Vec<usize>,
     adj: Vec<NodeId>,
+    /// `rows[dst][src]`: hops from `src` to `dst`, filled by one BFS from
+    /// `dst` on the first query that names `dst`.
+    rows: Vec<OnceCell<Box<[Dist]>>>,
 }
 
 impl Routing {
-    /// Compute routing over all nodes of `topo`.
+    /// Routing over all nodes of `topo`.
     pub fn new(topo: &Topology) -> Self {
         Self::over_alive(topo, &vec![true; topo.node_count()])
     }
 
-    /// Compute routing over the alive subgraph only; dead nodes neither
+    /// Routing over the alive subgraph only; dead nodes neither
     /// originate, receive, nor forward.
     ///
     /// # Panics
@@ -56,26 +68,6 @@ impl Routing {
             n < usize::from(NO_PATH),
             "routing needs under {NO_PATH} nodes, got {n}"
         );
-        let mut dist = vec![NO_PATH; n * n];
-        let mut queue = std::collections::VecDeque::new();
-        for src in 0..n {
-            if !alive[src] {
-                continue;
-            }
-            let row = &mut dist[src * n..(src + 1) * n];
-            row[src] = 0;
-            queue.clear();
-            queue.push_back(src);
-            while let Some(u) = queue.pop_front() {
-                let du = row[u];
-                for &v in topo.neighbors(u) {
-                    if alive[v] && row[v] == NO_PATH {
-                        row[v] = du + 1;
-                        queue.push_back(v);
-                    }
-                }
-            }
-        }
         let mut adj_start = Vec::with_capacity(n + 1);
         let mut adj = Vec::with_capacity(2 * topo.link_count());
         adj_start.push(0);
@@ -85,26 +77,64 @@ impl Routing {
         }
         Routing {
             n,
-            dist,
+            alive: alive.to_vec(),
             adj_start,
             adj,
+            rows: (0..n).map(|_| OnceCell::new()).collect(),
         }
     }
 
-    /// Number of nodes the table was built over.
+    /// Number of nodes the routing is over.
     pub fn node_count(&self) -> usize {
         self.n
     }
 
     #[inline]
-    fn dist(&self, src: NodeId, dst: NodeId) -> Dist {
-        self.dist[src * self.n + dst]
+    fn neighbors(&self, u: NodeId) -> &[NodeId] {
+        &self.adj[self.adj_start[u]..self.adj_start[u + 1]]
+    }
+
+    /// BFS from `src` over the alive subgraph into `row` (every entry
+    /// `NO_PATH` on entry), using `queue` as scratch. A dead `src` reaches
+    /// nothing, itself included.
+    fn bfs(&self, src: NodeId, row: &mut [Dist], queue: &mut Vec<NodeId>) {
+        if !self.alive[src] {
+            return;
+        }
+        row[src] = 0;
+        queue.clear();
+        queue.push(src);
+        let mut head = 0;
+        while let Some(&u) = queue.get(head) {
+            head += 1;
+            let du = row[u];
+            for &v in self.neighbors(u) {
+                if self.alive[v] && row[v] == NO_PATH {
+                    row[v] = du + 1;
+                    queue.push(v);
+                }
+            }
+        }
+    }
+
+    /// Hop distances from every node to `dst`, filled on first use.
+    #[inline]
+    fn row(&self, dst: NodeId) -> &[Dist] {
+        self.rows[dst].get_or_init(|| self.fill_row(dst))
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn fill_row(&self, dst: NodeId) -> Box<[Dist]> {
+        let mut row = vec![NO_PATH; self.n].into_boxed_slice();
+        self.bfs(dst, &mut row, &mut Vec::new());
+        row
     }
 
     /// Hop distance from `src` to `dst` ([`HOPS_UNREACHABLE`] if none).
     #[inline]
     pub fn hops(&self, src: NodeId, dst: NodeId) -> Hops {
-        match self.dist(src, dst) {
+        match self.row(dst)[src] {
             NO_PATH => HOPS_UNREACHABLE,
             d => Hops::from(d),
         }
@@ -113,7 +143,7 @@ impl Routing {
     /// True when a path exists.
     #[inline]
     pub fn reachable(&self, src: NodeId, dst: NodeId) -> bool {
-        self.dist(src, dst) != NO_PATH
+        self.row(dst)[src] != NO_PATH
     }
 
     /// First hop on a shortest `src → dst` path (`None` when unreachable or
@@ -131,13 +161,13 @@ impl Routing {
     /// `hops(w, dst) == hops(src, dst) - 1`, which is what this scans for.
     /// Dead neighbours have no finite distance, so they never qualify.
     pub fn next_hop(&self, src: NodeId, dst: NodeId) -> Option<NodeId> {
-        let d = self.dist(src, dst);
+        // `dst`'s row holds every `hops(w, dst)`.
+        let row = self.row(dst);
+        let d = row[src];
         if d == NO_PATH || d == 0 {
             return None;
         }
-        // Distances are symmetric, so `dst`'s row holds every `hops(w, dst)`.
-        let row = &self.dist[dst * self.n..(dst + 1) * self.n];
-        self.adj[self.adj_start[src]..self.adj_start[src + 1]]
+        self.neighbors(src)
             .iter()
             .copied()
             .find(|&w| row[w] == d - 1)
@@ -158,20 +188,33 @@ impl Routing {
         Some(path)
     }
 
+    /// Run `visit` on the BFS distances from each node in turn, through
+    /// one scratch row; no row is stored.
+    fn each_source(&self, mut visit: impl FnMut(NodeId, &[Dist])) {
+        let mut row = vec![NO_PATH; self.n];
+        let mut queue = Vec::with_capacity(self.n);
+        for src in 0..self.n {
+            row.fill(NO_PATH);
+            self.bfs(src, &mut row, &mut queue);
+            visit(src, &row);
+        }
+    }
+
     /// Mean hop distance over all ordered reachable pairs with `src != dst`.
+    /// One BFS per node; fills no rows.
     ///
     /// For the paper's 5×5 mesh this is 10/3 ≈ 3.33 (the paper rounds to 4).
     pub fn mean_path_length(&self) -> f64 {
         let mut sum = 0u64;
         let mut pairs = 0u64;
-        for s in 0..self.n {
-            for d in 0..self.n {
-                if s != d && self.reachable(s, d) {
-                    sum += u64::from(self.hops(s, d));
+        self.each_source(|src, row| {
+            for (dst, &d) in row.iter().enumerate() {
+                if dst != src && d != NO_PATH {
+                    sum += u64::from(d);
                     pairs += 1;
                 }
             }
-        }
+        });
         if pairs == 0 {
             0.0
         } else {
@@ -180,19 +223,21 @@ impl Routing {
     }
 
     /// Largest finite hop distance (graph diameter over reachable pairs).
+    /// One BFS per node; fills no rows.
     pub fn diameter(&self) -> Hops {
-        self.dist
-            .iter()
-            .copied()
-            .filter(|&d| d != NO_PATH)
-            .max()
-            .map_or(0, Hops::from)
+        let mut max: Option<Dist> = None;
+        self.each_source(|_, row| {
+            let far = row.iter().copied().filter(|&d| d != NO_PATH).max();
+            max = max.max(far);
+        });
+        max.map_or(0, Hops::from)
     }
 
     /// Nodes within `radius` hops of `center` (excluding `center`).
     pub fn within(&self, center: NodeId, radius: Hops) -> Vec<NodeId> {
+        // Distances are symmetric: `hops(v, center)` reads only `center`'s row.
         (0..self.n)
-            .filter(|&v| v != center && self.hops(center, v) <= radius)
+            .filter(|&v| v != center && self.hops(v, center) <= radius)
             .collect()
     }
 }

@@ -283,3 +283,110 @@ fn routing_matches_bfs_first_hop_oracle() {
         },
     );
 }
+
+/// Lazily filled destination rows agree with an eager all-pairs BFS
+/// through several fault epochs of one `FaultState`: kills, restores, cut
+/// and restored links, and partitions that are drawn, redrawn and healed,
+/// on mesh, torus and random graphs. Each epoch queries a random sample of
+/// pairs in random order, so rows are filled partially and in any order,
+/// and checks the whole-graph figures, which fill no rows, against the
+/// oracle's.
+#[test]
+fn lazy_rows_match_eager_bfs_across_fault_epochs() {
+    forall(
+        "lazy_rows_match_eager_bfs_across_fault_epochs",
+        0x4E7007,
+        96,
+        |r| {
+            (
+                gen::u8_in(r, 0, 3),
+                gen::usize_in(r, 0, 64),
+                gen::u64_in(r, 0, 1000),
+                gen::vec(r, 1, 6, |r| (gen::u8_in(r, 0, 6), gen::usize_in(r, 1, 4))),
+            )
+        },
+        |(family, size, seed, epochs)| {
+            let t = match family {
+                0 => Topology::mesh(1 + size % 8, 1 + size / 8 % 8),
+                1 => Topology::torus(3 + size % 5, 3 + size / 5 % 5),
+                _ => {
+                    let n = 2 + size % 40;
+                    Topology::random_connected(n, (3.0 / n as f64).clamp(0.1, 1.0), *seed)
+                }
+            };
+            let n = t.node_count();
+            let edges = t.edges();
+            let mut rng = SimRng::from_seed(*seed);
+            let mut f = FaultState::new(&t);
+            for (epoch, &(op, count)) in epochs.iter().enumerate() {
+                for _ in 0..count {
+                    let node = rng.index(n);
+                    let (a, b) = edges
+                        .get(rng.index(edges.len().max(1)))
+                        .copied()
+                        .unwrap_or((0, 0));
+                    match op {
+                        0 => f.kill(node),
+                        1 => f.restore(node),
+                        2 => f.cut_link(&t, a, b),
+                        3 => f.restore_link(a, b),
+                        4 => {
+                            f.partition(&t, 1 + count, &mut rng);
+                        }
+                        _ => f.heal_partition(),
+                    }
+                }
+                let kept: Vec<(NodeId, NodeId)> = edges
+                    .iter()
+                    .copied()
+                    .filter(|&(a, b)| !f.is_link_severed(a, b))
+                    .collect();
+                let filtered = Topology::from_edges("oracle", n, &kept);
+                let oracle = BfsOracle::build(&filtered, f.alive_flags());
+                let r = f.routing(&t);
+                for _ in 0..2 * n {
+                    let (a, b) = (rng.index(n), rng.index(n));
+                    prop_assert_eq!(
+                        r.hops(a, b),
+                        oracle.hops(a, b),
+                        "epoch {epoch}: hops {a}->{b}"
+                    );
+                    prop_assert_eq!(
+                        r.reachable(a, b),
+                        oracle.hops(a, b) != HOPS_UNREACHABLE,
+                        "epoch {epoch}: reachable {a}->{b}"
+                    );
+                    prop_assert_eq!(
+                        r.next_hop(a, b),
+                        oracle.next_hop(a, b),
+                        "epoch {epoch}: next {a}->{b}"
+                    );
+                }
+                let finite = (0..n)
+                    .flat_map(|a| (0..n).map(move |b| (a, b)))
+                    .filter(|&(a, b)| a != b && oracle.hops(a, b) != HOPS_UNREACHABLE)
+                    .map(|(a, b)| u64::from(oracle.hops(a, b)));
+                let (sum, pairs) = finite.fold((0u64, 0u64), |(s, p), h| (s + h, p + 1));
+                let mean = if pairs == 0 {
+                    0.0
+                } else {
+                    sum as f64 / pairs as f64
+                };
+                prop_assert_eq!(
+                    r.mean_path_length().to_bits(),
+                    mean.to_bits(),
+                    "epoch {epoch}"
+                );
+                let diameter = oracle
+                    .dist
+                    .iter()
+                    .copied()
+                    .filter(|&d| d != HOPS_UNREACHABLE)
+                    .max()
+                    .unwrap_or(0);
+                prop_assert_eq!(r.diameter(), diameter, "epoch {epoch}");
+            }
+            Ok(())
+        },
+    );
+}

@@ -14,9 +14,8 @@
 //!   Poisson arrivals),
 //! * [`check`] — a seed-driven property-test harness (`forall` + shrinking)
 //!   replacing the external `proptest` dependency,
-//! * [`stats`] — counters, Welford mean/variance, time-weighted averages,
-//!   linear histograms, and the mergeable HDR-style
-//!   [`stats::LogHistogram`],
+//! * [`stats`] — Welford mean/variance, ratios, Jain fairness, and the
+//!   mergeable HDR-style [`stats::LogHistogram`],
 //! * [`metrics`] — point-in-time [`metrics::MetricsSnapshot`]s rendered in
 //!   the Prometheus text exposition format for live observability,
 //! * [`table`] — CSV/markdown result tables used by the experiment harness,
@@ -82,7 +81,7 @@ pub mod prelude {
     pub use crate::engine::{Context, Engine, Handler, RunOutcome};
     pub use crate::event::EventQueue;
     pub use crate::rng::SimRng;
-    pub use crate::stats::{Counter, LogHistogram, TimeWeighted, Welford};
+    pub use crate::stats::{LogHistogram, Welford};
     pub use crate::table::{Cell, Table};
     pub use crate::time::{SimDuration, SimTime};
     pub use crate::trace::{TraceEvent, TraceKind, TraceValue, Tracer};

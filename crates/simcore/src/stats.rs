@@ -3,37 +3,6 @@
 //! All collectors are plain accumulators: cheap to update on the hot path,
 //! with derived quantities (means, variances, quantiles) computed on demand.
 
-use crate::time::{SimDuration, SimTime};
-
-/// A monotonically increasing event counter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// A zeroed counter.
-    pub fn new() -> Self {
-        Counter(0)
-    }
-
-    /// Add one.
-    #[inline]
-    pub fn inc(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Add `n`.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Current count.
-    #[inline]
-    pub fn get(self) -> u64 {
-        self.0
-    }
-}
-
 /// Streaming mean / variance via Welford's algorithm, plus min/max.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Welford {
@@ -141,60 +110,6 @@ impl Welford {
         self.n += other.n;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
-    }
-}
-
-/// Time-weighted average of a piecewise-constant signal (e.g. queue length).
-///
-/// Call [`TimeWeighted::set`] whenever the signal changes; the accumulator
-/// integrates the previous value over the elapsed interval.
-#[derive(Debug, Clone, Copy)]
-pub struct TimeWeighted {
-    value: f64,
-    last_change: SimTime,
-    integral: f64,
-    start: SimTime,
-    peak: f64,
-}
-
-impl TimeWeighted {
-    /// Start tracking at `t0` with initial value `v0`.
-    pub fn new(t0: SimTime, v0: f64) -> Self {
-        TimeWeighted {
-            value: v0,
-            last_change: t0,
-            integral: 0.0,
-            start: t0,
-            peak: v0,
-        }
-    }
-
-    /// Update the signal to `v` at time `now`.
-    pub fn set(&mut self, now: SimTime, v: f64) {
-        self.integral += self.value * now.since(self.last_change).as_secs_f64();
-        self.value = v;
-        self.last_change = now;
-        self.peak = self.peak.max(v);
-    }
-
-    /// Current signal value.
-    pub fn current(&self) -> f64 {
-        self.value
-    }
-
-    /// Largest value ever set.
-    pub fn peak(&self) -> f64 {
-        self.peak
-    }
-
-    /// Time-weighted mean over `[start, now]` (0 over an empty interval).
-    pub fn mean(&self, now: SimTime) -> f64 {
-        let span = now.since(self.start).as_secs_f64();
-        if span <= 0.0 {
-            return 0.0;
-        }
-        let full = self.integral + self.value * now.since(self.last_change).as_secs_f64();
-        full / span
     }
 }
 
@@ -393,17 +308,6 @@ pub fn ratio(num: u64, den: u64) -> f64 {
     }
 }
 
-/// Mean inter-event spacing implied by a counter over a window.
-#[inline]
-pub fn rate_per_sec(count: u64, window: SimDuration) -> f64 {
-    let s = window.as_secs_f64();
-    if s <= 0.0 {
-        0.0
-    } else {
-        count as f64 / s
-    }
-}
-
 /// Jain's fairness index over non-negative allocations:
 /// `(Σx)² / (n · Σx²)`, in `(0, 1]`; 1 means perfectly even. Returns 1 for
 /// empty or all-zero input (nothing is unfair about nothing).
@@ -427,14 +331,6 @@ pub fn jain_fairness(xs: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_counts() {
-        let mut c = Counter::new();
-        c.inc();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-    }
 
     #[test]
     fn welford_matches_closed_form() {
@@ -473,28 +369,9 @@ mod tests {
     }
 
     #[test]
-    fn time_weighted_mean() {
-        let mut tw = TimeWeighted::new(SimTime::ZERO, 0.0);
-        tw.set(SimTime::from_secs(10), 10.0); // 0 for 10s
-        tw.set(SimTime::from_secs(20), 0.0); // 10 for 10s
-        let m = tw.mean(SimTime::from_secs(20));
-        assert!((m - 5.0).abs() < 1e-12, "mean {m}");
-        assert_eq!(tw.peak(), 10.0);
-        // continuing at 0 halves the mean again
-        let m = tw.mean(SimTime::from_secs(40));
-        assert!((m - 2.5).abs() < 1e-12, "mean {m}");
-    }
-
-    #[test]
     fn ratio_guards_zero() {
         assert_eq!(ratio(5, 0), 0.0);
         assert_eq!(ratio(5, 10), 0.5);
-    }
-
-    #[test]
-    fn rate_per_sec_guards_zero() {
-        assert_eq!(rate_per_sec(10, SimDuration::ZERO), 0.0);
-        assert_eq!(rate_per_sec(10, SimDuration::from_secs(5)), 2.0);
     }
 
     #[test]

@@ -6,7 +6,9 @@
 # by policy (enforced by tests/hermetic.rs).
 #
 # Steps:
-#   1. release build, all targets, offline
+#   1. format check (`cargo fmt --all --check`; gated like clippy), then
+#      release build, all targets, offline. perfbench/ is a workspace of
+#      its own and is not covered by the format check
 #   2. full test suite, offline
 #   3. perfbench unit tests (perfbench/ is a workspace of its own)
 #   4. perfbench correctness smokes on the held-out seed: mesh_scale
@@ -17,7 +19,7 @@
 #      capacity for its pending events only); churn_recovery must match
 #      its digests too, the only workload that runs FaultState rebuilds,
 #      per-recipient lossy floods and the failure-detector table, and its
-#      peak RSS must stay within 25 MB; paper_mesh must match its digests
+#      peak RSS must stay within 20 MB; paper_mesh must match its digests
 #      too, the only workload that runs all five protocol presets, and its
 #      peak RSS must stay within 15 MB
 #   5. clippy (gated: skipped with a notice if the component is absent)
@@ -70,6 +72,13 @@ cd "$(dirname "$0")/.."
 
 say() { printf '\n==> %s\n' "$*"; }
 
+say "format check"
+if cargo fmt --version >/dev/null 2>&1; then
+    cargo fmt --all --check
+else
+    echo "rustfmt not installed; skipping (install with: rustup component add rustfmt)"
+fi
+
 say "build (release, all targets, offline)"
 cargo build --release --workspace --all-targets --offline
 
@@ -108,7 +117,7 @@ say "perfbench correctness smoke (mesh_scale, N = 1600, stored digests, RSS budg
 perfbench_smoke mesh_scale 80
 
 say "perfbench correctness smoke (churn_recovery, stored digests, RSS budget)"
-perfbench_smoke churn_recovery 25
+perfbench_smoke churn_recovery 20
 
 say "perfbench correctness smoke (paper_mesh, all five protocols, stored digests, RSS budget)"
 perfbench_smoke paper_mesh 15
