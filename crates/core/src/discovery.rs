@@ -115,7 +115,8 @@ pub(crate) struct Discovery {
     seed: Option<(Arc<[NodeId]>, f64)>,
     /// Bumped on reset; stamps periodic push ticks.
     epoch: u64,
-    /// The world's node count: the per-node tables are sized to it.
+    /// The world's node count: the dense per-node tables (store, own
+    /// community, detector) are sized to it.
     nodes: usize,
     name: &'static str,
     cfg: ProtocolConfig,
@@ -145,7 +146,7 @@ impl Discovery {
             help: HelpController::new(&cfg, settings.pull.unwrap_or(HelpMode::Adaptive)),
             policy: PledgePolicy::new(&cfg, 0.0),
             store: AvailabilityStore::with_id_capacity(nodes),
-            memberships: MembershipTable::with_id_capacity(cfg.membership_ttl, nodes),
+            memberships: MembershipTable::new(cfg.membership_ttl),
             own_community: OwnCommunity::with_id_capacity(cfg.membership_ttl, nodes),
             detector: Self::new_detector(settings, &cfg, nodes),
             seed: (settings.push == Some(Push::OnCrossing))
@@ -539,7 +540,7 @@ impl DiscoveryProtocol for Discovery {
         self.help.reset();
         self.policy = PledgePolicy::new(&self.cfg, 0.0);
         self.store = AvailabilityStore::with_id_capacity(self.nodes);
-        self.memberships = MembershipTable::with_id_capacity(self.cfg.membership_ttl, self.nodes);
+        self.memberships = MembershipTable::new(self.cfg.membership_ttl);
         self.own_community = OwnCommunity::with_id_capacity(self.cfg.membership_ttl, self.nodes);
         // Amnesia extends to liveness verdicts: a restored node must not
         // remember who it had confirmed dead before the crash.

@@ -73,8 +73,12 @@ impl ProtocolKind {
 
     /// Build an instance of this protocol for `node`.
     ///
-    /// `peers` lists the world's nodes: its length sizes the per-node
-    /// tables once (see `realtor_net::IdMap`). Only adaptive push keeps the
+    /// `peers` lists the world's nodes: its length sizes the dense
+    /// per-node tables once (the pledge store, the organizer's own
+    /// community and the failure detector; see `realtor_net::IdMap`).
+    /// Community memberships grow with the communities a node is in
+    /// instead (see [`crate::community::MembershipTable`]). Only adaptive
+    /// push keeps the
     /// list itself, together with `capacity_secs`, each peer's queue
     /// capacity (its "silence means unchanged" semantics needs an
     /// optimistic prior — see [`crate::discovery`]). Pass an

@@ -8,7 +8,7 @@ use realtor_core::pledge::{AvailabilityStore, Crossing, PledgePolicy};
 use realtor_core::{Action, Actions, Help, LocalView, Message, ProtocolKind};
 use realtor_simcore::prelude::*;
 use realtor_simcore::{prop_assert, prop_assert_eq, prop_assert_ne};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 fn cfg() -> ProtocolConfig {
     ProtocolConfig::paper()
@@ -231,13 +231,15 @@ fn most_headroom_is_maximal() {
 const MEMBERSHIP_TTL: SimDuration = SimDuration::from_secs(10);
 
 /// One step of a membership-table script: `(kind, organizer, amount)`.
+/// Organizer ids are used as they are, so scripts may name organizers far
+/// beyond any world size; the table must not care.
 ///
 /// Kinds (mod 8): 0–2 refresh `organizer`; 3 refresh the previously
 /// refreshed organizer again at the same instant (a duplicated HELP);
 /// 4 leave `organizer`; 5 purge; 6 advance the clock by `amount` tenths
 /// of a second; 7 advance the clock to exactly `ttl` after `organizer`'s
 /// last refresh (`since == ttl`, still live), if that is not in the past.
-type MembershipOp = (u8, u8, u8);
+type MembershipOp = (u8, u32, u8);
 
 /// Run `ops` against a [`MembershipTable`] and a scan-based oracle, and
 /// compare every observable after every step.
@@ -248,6 +250,7 @@ fn check_membership_script(ops: &[MembershipOp]) -> PropResult {
     let mut joins = 0u64;
     let mut now = SimTime::ZERO;
     let mut last_org = 0usize;
+    let mut seen = BTreeSet::new();
     let live_at = |oracle: &BTreeMap<usize, SimTime>, at: SimTime| -> Vec<usize> {
         oracle
             .iter()
@@ -256,7 +259,8 @@ fn check_membership_script(ops: &[MembershipOp]) -> PropResult {
             .collect()
     };
     for (step, &(kind, org, amount)) in ops.iter().enumerate() {
-        let org = usize::from(org % 6);
+        let org = org as usize;
+        seen.insert(org);
         match kind % 8 {
             0..=3 => {
                 let org = if kind % 8 == 3 { last_org } else { org };
@@ -282,13 +286,14 @@ fn check_membership_script(ops: &[MembershipOp]) -> PropResult {
                 now = now.max(edge);
             }
         }
-        // The count may be read at any time not before the last update.
+        // Observables are read at or after the last update: before it they
+        // are out of the table's time contract.
         for at in [now, now + ttl, now + ttl + SimDuration::from_ticks(1)] {
             let live = live_at(&oracle, at);
             prop_assert_eq!(table.count(at) as usize, live.len(), "count at step {step}");
             prop_assert_eq!(table.current(at).collect::<Vec<_>>(), live);
         }
-        for o in 0..6 {
+        for &o in &seen {
             let member = oracle.get(&o).is_some_and(|&t| now.since(t) <= ttl);
             prop_assert_eq!(
                 table.is_member(o, now),
@@ -305,8 +310,20 @@ fn check_membership_script(ops: &[MembershipOp]) -> PropResult {
     Ok(())
 }
 
+/// An organizer id for a membership script: a few small ids that repeat,
+/// a block of neighbouring ids, or any id up to 2^20, so that a script
+/// meets both repeated organizers and many distinct ones.
+fn membership_organizer(r: &mut SimRng) -> u32 {
+    match r.index(3) {
+        0 => gen::u32_in(r, 0, 6),
+        1 => gen::u32_in(r, 1000, 1064),
+        _ => gen::u32_in(r, 0, (1 << 20) + 1),
+    }
+}
+
 /// The incrementally maintained membership count equals a scan over the
-/// table for every sequence of refreshes, leaves, purges and clock moves.
+/// table for every sequence of refreshes, leaves, purges and clock moves,
+/// with organizer ids small and large, few and many.
 #[test]
 fn membership_count_matches_scan() {
     forall(
@@ -314,10 +331,12 @@ fn membership_count_matches_scan() {
         0xC04E07,
         512,
         |r| {
-            gen::vec(r, 1, 120, |r| {
+            // Up to 300 steps, so that a script's records fill several
+            // 64-record log blocks and expire across their boundaries.
+            gen::vec(r, 1, 300, |r| {
                 (
                     gen::u8_in(r, 0, 7),
-                    gen::u8_in(r, 0, 5),
+                    membership_organizer(r),
                     gen::u8_in(r, 0, 150),
                 )
             })
@@ -330,6 +349,15 @@ fn membership_count_matches_scan() {
 #[test]
 fn membership_count_edge_cases() {
     let churn = [(0, 1, 0), (0, 2, 0), (6, 0, 1)].repeat(40);
+    let wave = |base: u32| (0..40).map(move |i| (0, base + i * 4099, 1));
+    // A refresh every 0.1 s from ten organizers: 400 records, 300 of them
+    // expired one by one across five log blocks.
+    let long: Vec<MembershipOp> = (0..400).flat_map(|i| [(0, i % 10, 0), (6, 0, 1)]).collect();
+    let many: Vec<MembershipOp> = wave(1 << 20)
+        .chain([(4, (1 << 20) + 4099, 0), (6, 0, 101), (5, 0, 0)])
+        .chain(wave((1 << 20) - 40 * 4099))
+        .chain(wave(1 << 20))
+        .collect();
     let scripts: &[(&str, &[MembershipOp])] = &[
         (
             "repeated refresh at one instant",
@@ -379,10 +407,12 @@ fn membership_count_edge_cases() {
             "refreshing an expired, unpurged entry is not a join",
             &[(0, 1, 0), (6, 0, 120), (0, 1, 0), (5, 0, 0), (0, 1, 0)],
         ),
+        ("many refreshes of few organizers (stale records)", &churn),
         (
-            "many refreshes of few organizers (queue compaction)",
-            &churn,
+            "many distinct large organizers, purged and joined again",
+            &many,
         ),
+        ("a long run across many log blocks", &long),
     ];
     for (name, ops) in scripts {
         if let Err(e) = check_membership_script(ops) {

@@ -1,8 +1,7 @@
 //! A map keyed by [`NodeId`], backed by a dense `Vec` of slots.
 //!
-//! The protocol hot path touches several per-node tables once per
-//! *delivered message* (failure-detector heartbeats, membership refreshes,
-//! pledge reports). Node ids are small dense integers — a simulation with
+//! The protocol hot path touches per-node tables once per *delivered
+//! message* (pledge reports, and the pledges an organizer counts). Node ids are small dense integers — a simulation with
 //! `n` nodes uses ids `0..n` — so a `BTreeMap<NodeId, T>` pays a pointer
 //! chase per lookup for no benefit. [`IdMap`] makes every lookup a bounds
 //! check and an index, and iterates **in id order**, which is the property
@@ -14,8 +13,11 @@
 //! Memory is the slot array and nothing else: a slot stores its value
 //! directly, and one reserved value per type ([`Vacancy::VACANT`]) marks an
 //! empty slot, so a slot costs `size_of::<T>()` — 8 B for a timestamp — not
-//! the 16 B of an `Option`. Every node keeps several of these tables, so at
-//! N nodes they hold N² slots in total; see DESIGN.md A17 for the budget.
+//! the 16 B of an `Option`. A full table costs N slots at N nodes, so an
+//! `IdMap` suits only the tables whose key sets are dense on real traffic:
+//! an organizer's pledge store and own community, which nearly every peer
+//! writes to. A node's community memberships follow the communities it is
+//! in and use a sparse index instead; see DESIGN.md A17 for the budget.
 //! The slot array is sized once, on the first insert, to the capacity the
 //! map was made with (the world's node count), and grows exactly — never
 //! by doubling — only for an id beyond it.

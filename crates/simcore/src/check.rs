@@ -12,7 +12,10 @@
 //!   failure it **shrinks** the input (halving integers, halving and
 //!   element-dropping vectors, component-wise for tuples) and panics with
 //!   the *case seed*, so the exact failing input can be replayed with
-//!   `REALTOR_CHECK_SEED=<seed> cargo test <name>`.
+//!   `REALTOR_CHECK_SEED=<seed> cargo test <name>`. A property that panics
+//!   is reported with its case seed too. While shrinking, a candidate on
+//!   which the property panics (say, an input the code under test rejects
+//!   by assertion) is skipped, so it cannot replace the report.
 //!
 //! ```
 //! use realtor_simcore::check::{forall, gen, PropResult};
@@ -27,7 +30,9 @@
 //! ```
 
 use crate::rng::SimRng;
+use std::any::Any;
 use std::fmt::Debug;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// What a property returns: `Ok(())` to pass, `Err(message)` to fail.
 pub type PropResult = Result<(), String>;
@@ -196,8 +201,26 @@ impl<T: Shrink> Shrink for Option<T> {
     }
 }
 
+/// Run `prop` on `input`; `Err` carries the message of a panic.
+fn call<T, P>(prop: &P, input: &T) -> Result<PropResult, String>
+where
+    P: Fn(&T) -> PropResult,
+{
+    catch_unwind(AssertUnwindSafe(|| prop(input))).map_err(|payload| panic_message(&*payload))
+}
+
+/// The message a panic was raised with, when it is a string.
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "a panic without a message".to_string())
+}
+
 /// Greedily minimize a failing input: repeatedly replace it with the first
-/// shrink candidate that still fails, until none does.
+/// shrink candidate that still fails, until none does. Candidates on which
+/// the property panics are skipped: they fail for another reason.
 fn shrink_to_minimal<T, P>(mut input: T, mut message: String, prop: &P) -> (T, String, usize)
 where
     T: Shrink,
@@ -206,7 +229,7 @@ where
     let mut steps = 0;
     'outer: while steps < MAX_SHRINK_STEPS {
         for cand in input.shrink_candidates() {
-            if let Err(msg) = prop(&cand) {
+            if let Ok(Err(msg)) = call(prop, &cand) {
                 input = cand;
                 message = msg;
                 steps += 1;
@@ -219,7 +242,8 @@ where
 }
 
 /// Run `prop` against `cases` inputs drawn from `gen`, shrinking and
-/// reporting the case seed on failure.
+/// reporting the case seed on failure. A panicking property is reported,
+/// unshrunk, with its case seed.
 ///
 /// `name` keys the random stream (so adding a new `forall` to a test file
 /// never perturbs existing ones) and appears in the failure report. Setting
@@ -268,14 +292,23 @@ pub fn forall_with_replay<T, G, P>(
     for (case, &cs) in seeds.iter().enumerate() {
         let mut rng = SimRng::stream(cs, name);
         let input = gen(&mut rng);
-        if let Err(msg) = prop(&input) {
-            let (min_input, min_msg, steps) = shrink_to_minimal(input, msg, &prop);
-            panic!(
-                "property '{name}' failed at case {case}/{cases} (case seed {cs:#018x})\n\
+        match call(&prop, &input) {
+            Ok(Ok(())) => {}
+            Ok(Err(msg)) => {
+                let (min_input, min_msg, steps) = shrink_to_minimal(input, msg, &prop);
+                panic!(
+                    "property '{name}' failed at case {case}/{cases} (case seed {cs:#018x})\n\
+                     replay exactly: {REPLAY_ENV}={cs:#x} cargo test\n\
+                     minimal input after {steps} shrink steps: {min_input:?}\n\
+                     failure: {min_msg}"
+                );
+            }
+            Err(panic) => panic!(
+                "property '{name}' panicked at case {case}/{cases} (case seed {cs:#018x})\n\
                  replay exactly: {REPLAY_ENV}={cs:#x} cargo test\n\
-                 minimal input after {steps} shrink steps: {min_input:?}\n\
-                 failure: {min_msg}"
-            );
+                 input: {input:?}\n\
+                 panic: {panic}"
+            ),
         }
     }
 }
@@ -461,6 +494,52 @@ mod tests {
         // shrink-by-halving lands on the boundary 500 exactly
         assert!(msg.contains("minimal input"), "{msg}");
         assert!(msg.contains("500"), "{msg}");
+    }
+
+    /// Regression: a shrink candidate the code under test rejects by
+    /// assertion is skipped. It must not replace the report of the real
+    /// failure: case seed, minimal input and message.
+    #[test]
+    fn a_panicking_shrink_candidate_keeps_the_report() {
+        let result = std::panic::catch_unwind(|| {
+            forall(
+                "small_inputs_are_rejected",
+                4,
+                256,
+                |r| gen::u64_in(r, 0, 1000),
+                |&x| {
+                    assert!(x >= 100, "the code under test rejects {x}");
+                    prop_assert!(x < 500, "{x} is too large");
+                    Ok(())
+                },
+            );
+        });
+        let msg = *result.expect_err("must fail").downcast::<String>().unwrap();
+        assert!(msg.contains("case seed"), "{msg}");
+        assert!(msg.contains(REPLAY_ENV), "{msg}");
+        assert!(msg.contains("500 is too large"), "{msg}");
+        assert!(!msg.contains("rejects"), "{msg}");
+    }
+
+    #[test]
+    fn a_panicking_property_is_reported_with_its_case_seed() {
+        let result = std::panic::catch_unwind(|| {
+            forall(
+                "always_panics",
+                5,
+                16,
+                |r| gen::u64_in(r, 0, 1000),
+                |&x| {
+                    assert!(x > 1000, "the code under test rejects {x}");
+                    Ok(())
+                },
+            );
+        });
+        let msg = *result.expect_err("must fail").downcast::<String>().unwrap();
+        assert!(msg.contains("panicked at case 0/16"), "{msg}");
+        assert!(msg.contains("case seed"), "{msg}");
+        assert!(msg.contains(REPLAY_ENV), "{msg}");
+        assert!(msg.contains("the code under test rejects"), "{msg}");
     }
 
     #[test]

@@ -14,14 +14,15 @@
 #   4. perfbench correctness smokes on the held-out seed: mesh_scale
 #      (N = 1600) must match its stored digests — the golden figures only
 #      pin 5x5 meshes, so this is the bit-exactness check at scale — and
-#      its peak RSS must stay within 80 MB (the per-node tables and the
-#      routing table at their payload size, the event queue holding
-#      capacity for its pending events only); churn_recovery must match
-#      its digests too, the only workload that runs FaultState rebuilds,
-#      per-recipient lossy floods and the failure-detector table, and its
-#      peak RSS must stay within 20 MB; paper_mesh must match its digests
-#      too, the only workload that runs all five protocol presets, and its
-#      peak RSS must stay within 15 MB
+#      its peak RSS must stay within 45 MB (the dense per-node tables at
+#      their payload size, community memberships sized to the communities
+#      a node is in, routing rows only for the destinations asked for, the
+#      event queue holding capacity for its pending events only);
+#      churn_recovery must match its digests too, the only workload that
+#      runs FaultState rebuilds, per-recipient lossy floods and the
+#      failure-detector table, and its peak RSS must stay within 17 MB;
+#      paper_mesh must match its digests too, the only workload that runs
+#      all five protocol presets, and its peak RSS must stay within 15 MB
 #   5. clippy (gated: skipped with a notice if the component is absent)
 #   6. bench smoke run -> results/bench_smoke.json, gated against the
 #      committed results/bench_baseline.json: engine events/sec must not
@@ -114,10 +115,10 @@ perfbench_smoke() {
 }
 
 say "perfbench correctness smoke (mesh_scale, N = 1600, stored digests, RSS budget)"
-perfbench_smoke mesh_scale 80
+perfbench_smoke mesh_scale 45
 
 say "perfbench correctness smoke (churn_recovery, stored digests, RSS budget)"
-perfbench_smoke churn_recovery 20
+perfbench_smoke churn_recovery 17
 
 say "perfbench correctness smoke (paper_mesh, all five protocols, stored digests, RSS budget)"
 perfbench_smoke paper_mesh 15
