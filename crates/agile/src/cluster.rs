@@ -29,7 +29,7 @@ use realtor_simcore::trace::{TraceKind, TraceValue, Tracer};
 use realtor_simcore::SimRng;
 use realtor_workload::Trace;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering::Relaxed};
-use std::sync::mpsc::{channel, Sender};
+use std::sync::mpsc::channel;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -194,7 +194,6 @@ impl ClusterReport {
 
 /// One incarnation's runtime handles; replaced wholesale on restart.
 struct SlotRuntime {
-    control: Sender<HostControl>,
     handle: Option<JoinHandle<()>>,
     exit: Arc<AtomicU8>,
     fenced: Arc<AtomicBool>,
@@ -230,10 +229,10 @@ struct ClusterInner {
 }
 
 /// Spawn one host incarnation into `slot`-shaped runtime handles. The
-/// transport inbox is freshly reattached and the admission client swapped
-/// into the shared directory, so peers immediately reach the new
-/// incarnation; `epoch` keeps component-id spaces of successive
-/// incarnations disjoint.
+/// transport inbox (datagrams and control alike) is freshly reattached and
+/// the admission client swapped into the shared directory, so peers and the
+/// cluster immediately reach the new incarnation; `epoch` keeps
+/// component-id spaces of successive incarnations disjoint.
 #[allow(clippy::too_many_arguments)]
 fn launch_host(
     id: usize,
@@ -249,7 +248,6 @@ fn launch_host(
     epoch: u64,
 ) -> SlotRuntime {
     let endpoint = network.reattach(id);
-    let (control, control_rx) = channel();
     let (client, admission_server) = request_channel();
     directory.install(id, client);
     let core = Arc::new(Mutex::new(HostCore::new(cfg.host.capacity_secs)));
@@ -263,7 +261,6 @@ fn launch_host(
         cfg: cfg.host.clone(),
         clock,
         endpoint,
-        control: control_rx,
         admission_server,
         directory: directory.clone(),
         naming: naming.clone(),
@@ -289,7 +286,6 @@ fn launch_host(
         .spawn(move || host.run())
         .expect("spawn host");
     SlotRuntime {
-        control,
         handle: Some(handle),
         exit,
         fenced,
@@ -404,7 +400,8 @@ fn supervise(inner: &ClusterInner, stop: &AtomicBool) {
                 }
             }
         }
-        std::thread::sleep(sup.poll);
+        // Shutdown unparks the supervisor after raising `stop`.
+        std::thread::park_timeout(sup.poll);
     }
 }
 
@@ -626,16 +623,17 @@ impl Cluster {
         snap
     }
 
-    /// Send a control message, keeping the pending-control accounting that
-    /// [`Cluster::quiesce`] relies on. Returns false if the host's control
-    /// channel is gone (its thread ended and was not restarted).
+    /// Send a control message into the host's inbox, keeping the
+    /// pending-control accounting that [`Cluster::quiesce`] relies on.
+    /// Returns false if the inbox is closed (the host's thread ended and was
+    /// not restarted).
     fn send_control(&self, host: usize, msg: HostControl) -> bool {
         let rt = self.inner.slots[host]
             .runtime
             .lock()
             .expect("slot runtime lock");
         rt.control_pending.fetch_add(1, Relaxed);
-        if rt.control.send(msg).is_err() {
+        if !self.inner.network.send_control(host, msg) {
             rt.control_pending.fetch_sub(1, Relaxed);
             return false;
         }
@@ -806,15 +804,12 @@ impl Cluster {
         // the teardown below.
         self.supervisor_stop.store(true, Relaxed);
         if let Some(h) = self.supervisor.lock().expect("supervisor lock").take() {
+            h.thread().unpark();
             let _ = h.join();
         }
         let inner = &*self.inner;
-        for slot in &inner.slots {
-            let rt = slot.runtime.lock().expect("slot runtime lock");
-            rt.control_pending.fetch_add(1, Relaxed);
-            if rt.control.send(HostControl::Stop).is_err() {
-                rt.control_pending.fetch_sub(1, Relaxed);
-            }
+        for host in 0..inner.slots.len() {
+            self.send_control(host, HostControl::Stop);
         }
         let deadline = Instant::now() + inner.cfg.shutdown_timeout;
         let mut host_exits = Vec::with_capacity(inner.slots.len());
@@ -830,7 +825,7 @@ impl Cluster {
                 }
                 Some(handle) => {
                     while !handle.is_finished() && Instant::now() < deadline {
-                        std::thread::sleep(Duration::from_micros(500));
+                        std::thread::sleep(Duration::from_micros(50));
                     }
                     if handle.is_finished() {
                         let _ = handle.join();

@@ -4,11 +4,18 @@
 //! paper's Figure 1 (REALTOR, Admission Control, Job Scheduler, Migration
 //! Subsystem).
 //!
-//! Survivability wiring: the host heartbeats every loop iteration so the
-//! cluster supervisor can detect a wedged thread, publishes its exit status
-//! when the thread ends, and keeps its admission state in a shared
-//! [`HostCore`] that the supervisor can drain for recovery when the host
-//! dies without running its own cleanup (a crash). Admission negotiation
+//! The main thread blocks on its host's one inbox, which carries discovery
+//! datagrams and control messages alike: control and datagrams wake the
+//! host at once, so a submitted task is noticed as promptly as a PLEDGE.
+//! [`HostConfig::tick`] is only the longest idle wait before timers, usage
+//! and completions are polled. The admission-control thread blocks on its
+//! request queue and is woken by a stop message when the host ends.
+//!
+//! Survivability wiring: the host heartbeats every loop iteration and every
+//! message so the cluster supervisor can detect a wedged thread, publishes
+//! its exit status when the thread ends, and keeps its admission state in a
+//! shared [`HostCore`] that the supervisor can drain for recovery when the
+//! host dies without running its own cleanup (a crash). Admission negotiation
 //! retries transient failures (timeout, backpressure, closed channel) under
 //! a bounded, seeded, deadline-aware [`RetryPolicy`]; an explicit refusal is
 //! final and never retried, so fault-free behaviour is unchanged.
@@ -22,7 +29,7 @@ use crate::component::AgileComponent;
 use crate::naming::{ComponentId, NameService};
 use crate::retry::RetryPolicy;
 use crate::supervisor::{file_interrupts, AdmissionDirectory, ClusterLedger, RecoveryItem};
-use crate::transport::{Endpoint, HostId, RequestError, RequestServer};
+use crate::transport::{Endpoint, HostId, Inbound, RequestError, RequestServer};
 use realtor_core::protocol::{Action, Actions, DiscoveryProtocol, LocalView, TimerToken};
 use realtor_core::{ProtocolConfig, ProtocolKind};
 use realtor_node::{ResourceMonitor, WorkQueue};
@@ -30,7 +37,7 @@ use realtor_simcore::stats::{LogHistogram, Welford};
 use realtor_simcore::trace::Tracer;
 use realtor_simcore::{SimRng, SimTime};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
+use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -53,7 +60,9 @@ pub struct HostConfig {
     pub protocol: ProtocolKind,
     /// Protocol parameters.
     pub protocol_config: ProtocolConfig,
-    /// Wall-clock poll quantum of the host loop.
+    /// Longest idle wait of the host loop before it polls timers, usage
+    /// and completions; control messages and datagrams wake the host at
+    /// once.
     pub tick: Duration,
     /// Wall-clock admission-negotiation timeout (per attempt).
     pub negotiation_timeout: Duration,
@@ -97,7 +106,8 @@ pub enum SubmitOutcome {
     Lost,
 }
 
-/// Control-plane messages to a host.
+/// Control-plane messages to a host, queued in its inbox behind the
+/// datagrams already there (see [`crate::Network::send_control`]).
 #[derive(Debug)]
 pub enum HostControl {
     /// A task of the given size arrives at this host.
@@ -241,10 +251,8 @@ pub struct Host {
     pub cfg: HostConfig,
     /// The cluster clock.
     pub clock: Clock,
-    /// Datagram/multicast endpoint.
+    /// Datagram/multicast endpoint; its inbox also carries control messages.
     pub endpoint: Endpoint,
-    /// Control-plane receiver.
-    pub control: Receiver<HostControl>,
     /// Admission-negotiation server (codec bytes on the wire).
     pub admission_server: RequestServer<Vec<u8>, Vec<u8>>,
     /// Admission clients of every host, swappable under restart.
@@ -291,7 +299,6 @@ impl Host {
             cfg,
             clock,
             endpoint,
-            control,
             admission_server,
             directory,
             naming,
@@ -308,14 +315,11 @@ impl Host {
             retry_rng,
             component_epoch,
         } = self;
-        let stop = Arc::new(AtomicBool::new(false));
 
         // --- Admission Control thread (Figure 1) -----------------------
-        let usage_dirty = Arc::new(AtomicBool::new(false));
+        let admission_stop = admission_server.stopper();
         let ac_core = Arc::clone(&core);
         let ac_stats = Arc::clone(&stats);
-        let ac_dirty = Arc::clone(&usage_dirty);
-        let ac_stop = Arc::clone(&stop);
         let ac_dead = Arc::clone(&dead);
         let ac_naming = naming.clone();
         let ac_tracer = tracer.clone();
@@ -325,66 +329,63 @@ impl Host {
             .spawn(move || {
                 let refuse = encode_admission_reply(&AdmissionReply { accepted: false });
                 let accept = encode_admission_reply(&AdmissionReply { accepted: true });
-                while !ac_stop.load(Ordering::Relaxed) {
-                    admission_server.serve_one(Duration::from_millis(5), |bytes: Vec<u8>| {
-                        // Malformed wire bytes are refused, never trusted.
-                        let Ok(req) = decode_admission_request(&bytes) else {
-                            return refuse.clone();
+                admission_server.serve_until_stopped(|bytes: Vec<u8>| {
+                    // Malformed wire bytes are refused, never trusted.
+                    let Ok(req) = decode_admission_request(&bytes) else {
+                        return refuse.clone();
+                    };
+                    if ac_dead.load(Ordering::Relaxed) {
+                        return refuse.clone(); // attacked hosts refuse everything
+                    }
+                    let now = ac_clock.now();
+                    if !req.commit {
+                        // Reserve-only probe (non-speculative first phase).
+                        let ok = {
+                            let c = ac_core.lock().expect("core lock");
+                            c.queue.can_accept(now, req.size_secs)
                         };
-                        if ac_dead.load(Ordering::Relaxed) {
-                            return refuse.clone(); // attacked hosts refuse everything
+                        return if ok { accept.clone() } else { refuse.clone() };
+                    }
+                    let Some(mut component) = AgileComponent::restore(&req.component) else {
+                        return refuse.clone();
+                    };
+                    {
+                        let mut c = ac_core.lock().expect("core lock");
+                        if c.contains(component.id) {
+                            // A retried commit whose first reply was lost:
+                            // the component already lives here. Accepting
+                            // again (without re-admitting) keeps the
+                            // exchange idempotent.
+                            return accept.clone();
                         }
-                        let now = ac_clock.now();
-                        if !req.commit {
-                            // Reserve-only probe (non-speculative first phase).
-                            let ok = {
-                                let c = ac_core.lock().expect("core lock");
-                                c.queue.can_accept(now, req.size_secs)
-                            };
-                            return if ok { accept.clone() } else { refuse.clone() };
-                        }
-                        let Some(mut component) = AgileComponent::restore(&req.component) else {
+                        if !c.queue.can_accept(now, req.size_secs) {
                             return refuse.clone();
-                        };
-                        {
-                            let mut c = ac_core.lock().expect("core lock");
-                            if c.contains(component.id) {
-                                // A retried commit whose first reply was lost:
-                                // the component already lives here. Accepting
-                                // again (without re-admitting) keeps the
-                                // exchange idempotent.
-                                return accept.clone();
-                            }
-                            if !c.queue.can_accept(now, req.size_secs) {
-                                return refuse.clone();
-                            }
-                            c.queue
-                                .admit(now, req.size_secs)
-                                .expect("checked can_accept");
-                            let drain_at = c.queue.drain_time(now);
-                            component.migrated();
-                            c.inflight.push(InflightTask {
-                                id: component.id,
-                                size_secs: req.size_secs,
-                                drain_at,
-                                migrations: component.migrations,
-                            });
                         }
-                        if req.recovery {
-                            // Recovery re-admission: the task was already
-                            // counted at its original admission, so only the
-                            // per-host trace counter moves (the cluster
-                            // ledger's `recovered` is settled by the
-                            // supervisor when the reply lands).
-                            ac_tracer.count_node("runtime_recovered_in", id, 1);
-                        } else {
-                            ac_stats.admitted_migrated.fetch_add(1, Ordering::Relaxed);
-                        }
-                        ac_dirty.store(true, Ordering::Relaxed);
-                        ac_naming.update(component.id, id, component.migrations);
-                        accept.clone()
-                    });
-                }
+                        c.queue
+                            .admit(now, req.size_secs)
+                            .expect("checked can_accept");
+                        let drain_at = c.queue.drain_time(now);
+                        component.migrated();
+                        c.inflight.push(InflightTask {
+                            id: component.id,
+                            size_secs: req.size_secs,
+                            drain_at,
+                            migrations: component.migrations,
+                        });
+                    }
+                    if req.recovery {
+                        // Recovery re-admission: the task was already
+                        // counted at its original admission, so only the
+                        // per-host trace counter moves (the cluster
+                        // ledger's `recovered` is settled by the
+                        // supervisor when the reply lands).
+                        ac_tracer.count_node("runtime_recovered_in", id, 1);
+                    } else {
+                        ac_stats.admitted_migrated.fetch_add(1, Ordering::Relaxed);
+                    }
+                    ac_naming.update(component.id, id, component.migrations);
+                    accept.clone()
+                });
             })
             .expect("spawn admission thread");
 
@@ -398,7 +399,6 @@ impl Host {
             naming,
             Arc::clone(&stats),
             Arc::clone(&core),
-            Arc::clone(&usage_dirty),
             recovery,
             ledger,
             tracer,
@@ -413,73 +413,77 @@ impl Host {
                 // vanish without touching shared state.
                 break 'main EXIT_STOPPED;
             }
-            // 1. Control plane. Beat per message so a long drain (each
-            //    submit can negotiate for up to the deadline budget) is not
-            //    mistaken for a wedge; stop draining the moment this
-            //    incarnation is fenced.
+            // 1. The inbox: block up to one tick for the first message, then
+            //    drain what is queued behind it. Beat per message so a long
+            //    drain (each submit can negotiate for up to the deadline
+            //    budget) is not mistaken for a wedge; stop draining the
+            //    moment this incarnation is fenced.
             let mut stopped = false;
-            while !fenced.load(Ordering::Relaxed) {
-                let Ok(msg) = control.try_recv() else { break };
+            let mut next = driver.endpoint.recv_timeout(cfg.tick);
+            while let Some(msg) = next {
+                if fenced.load(Ordering::Relaxed) {
+                    break 'main EXIT_STOPPED;
+                }
                 beat.fetch_add(1, Ordering::Relaxed);
-                control_pending.fetch_sub(1, Ordering::Relaxed);
                 match msg {
-                    HostControl::Submit { size_secs, reply } => {
-                        let outcome = if dead.load(Ordering::Relaxed) {
-                            // Arrivals addressed to an attacked host vanish.
-                            driver.stats.offered.fetch_add(1, Ordering::Relaxed);
-                            driver.stats.rejected.fetch_add(1, Ordering::Relaxed);
-                            driver.stats.lost_to_attacks.fetch_add(1, Ordering::Relaxed);
-                            SubmitOutcome::Lost
-                        } else {
-                            driver.submit(size_secs)
-                        };
-                        if let Some(tx) = reply {
-                            let _ = tx.send(outcome);
+                    // Dead hosts drop their datagrams unprocessed.
+                    Inbound::Datagram(dgram) => {
+                        if !dead.load(Ordering::Relaxed) {
+                            if let Ok(msg) = decode_message(&dgram.payload) {
+                                driver.on_message(dgram.from, &msg);
+                            }
                         }
                     }
-                    HostControl::Kill => {
-                        dead.store(true, Ordering::Relaxed);
-                        driver.on_killed();
+                    Inbound::Control(msg) => {
+                        control_pending.fetch_sub(1, Ordering::Relaxed);
+                        match msg {
+                            HostControl::Submit { size_secs, reply } => {
+                                let outcome = if dead.load(Ordering::Relaxed) {
+                                    // Arrivals addressed to an attacked host
+                                    // vanish.
+                                    let s = &driver.stats;
+                                    s.offered.fetch_add(1, Ordering::Relaxed);
+                                    s.rejected.fetch_add(1, Ordering::Relaxed);
+                                    s.lost_to_attacks.fetch_add(1, Ordering::Relaxed);
+                                    SubmitOutcome::Lost
+                                } else {
+                                    driver.submit(size_secs)
+                                };
+                                if let Some(tx) = reply {
+                                    let _ = tx.send(outcome);
+                                }
+                            }
+                            HostControl::Kill => {
+                                dead.store(true, Ordering::Relaxed);
+                                driver.on_killed();
+                            }
+                            HostControl::Revive => {
+                                dead.store(false, Ordering::Relaxed);
+                                driver.on_revived();
+                            }
+                            HostControl::Crash => {
+                                // No cleanup whatsoever: queued work stays in
+                                // the shared core for the supervisor to
+                                // recover.
+                                dead.store(true, Ordering::Relaxed);
+                                break 'main EXIT_CRASHED;
+                            }
+                            HostControl::Stall(d) => std::thread::sleep(d),
+                            HostControl::Stop => stopped = true,
+                        }
                     }
-                    HostControl::Revive => {
-                        dead.store(false, Ordering::Relaxed);
-                        driver.on_revived();
-                    }
-                    HostControl::Crash => {
-                        // No cleanup whatsoever: queued work stays in the
-                        // shared core for the supervisor to recover.
-                        dead.store(true, Ordering::Relaxed);
-                        break 'main EXIT_CRASHED;
-                    }
-                    HostControl::Stall(d) => std::thread::sleep(d),
-                    HostControl::Stop => stopped = true,
                 }
+                next = driver.endpoint.try_recv();
             }
             if stopped {
                 break 'main EXIT_STOPPED;
             }
-            // 2. Discovery datagrams (blocking up to one tick). Dead hosts
-            //    drain and drop their inbox without processing.
-            if let Some(dgram) = driver.endpoint.recv_timeout(cfg.tick) {
-                if !dead.load(Ordering::Relaxed) {
-                    if let Ok(msg) = decode_message(&dgram.payload) {
-                        driver.on_message(dgram.from, &msg);
-                    }
-                    while let Some(dgram) = driver.endpoint.try_recv() {
-                        if let Ok(msg) = decode_message(&dgram.payload) {
-                            driver.on_message(dgram.from, &msg);
-                        }
-                    }
-                } else {
-                    while driver.endpoint.try_recv().is_some() {}
-                }
-            }
-            // 3. Timers, usage polling, completions.
+            // 2. Timers, usage polling, completions.
             if !dead.load(Ordering::Relaxed) {
                 driver.poll();
             }
         };
-        stop.store(true, Ordering::Relaxed);
+        admission_stop.stop();
         admission_thread.join().expect("admission thread join");
         exit.store(status, Ordering::Relaxed);
     }
@@ -494,7 +498,6 @@ struct HostDriver {
     naming: NameService,
     stats: Arc<HostStats>,
     core: Arc<Mutex<HostCore>>,
-    usage_dirty: Arc<AtomicBool>,
     recovery: Arc<Mutex<Vec<RecoveryItem>>>,
     ledger: Arc<ClusterLedger>,
     tracer: Tracer,
@@ -522,7 +525,6 @@ impl HostDriver {
         naming: NameService,
         stats: Arc<HostStats>,
         core: Arc<Mutex<HostCore>>,
-        usage_dirty: Arc<AtomicBool>,
         recovery: Arc<Mutex<Vec<RecoveryItem>>>,
         ledger: Arc<ClusterLedger>,
         tracer: Tracer,
@@ -541,7 +543,6 @@ impl HostDriver {
             naming,
             stats,
             core,
-            usage_dirty,
             recovery,
             ledger,
             tracer,
@@ -853,13 +854,10 @@ impl HostDriver {
             self.protocol.on_timer(now, token, view, &mut self.actions);
             self.dispatch_actions(now);
         }
-        // Usage: either the admission thread changed the queue, or it
-        // drained across the watermark.
-        if self.usage_dirty.swap(false, Ordering::Relaxed) {
-            self.usage_change(now);
-        } else {
-            self.usage_change(now); // monitor debounces, so polling is cheap
-        }
+        // Usage: the admission thread may have changed the queue, or it
+        // drained across the watermark; the monitor debounces, so polling
+        // is cheap.
+        self.usage_change(now);
         // Completions (collect under the lock, unbind outside it).
         let completed: Vec<ComponentId> = {
             let mut c = self.core.lock().expect("core lock");

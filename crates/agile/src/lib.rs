@@ -7,7 +7,8 @@
 //!
 //! * [`transport`] — UDP-like datagrams (PLEDGE), IP-multicast-like groups
 //!   (HELP), TCP-like reliable request channels (admission negotiation),
-//!   with a seeded loss model and bounded, shed-on-full queues,
+//!   with a seeded loss model and bounded, shed-on-full queues; each host
+//!   blocks on one inbox that carries its datagrams and control messages,
 //! * [`codec`] — the explicit binary wire format of discovery datagrams and
 //!   admission negotiation,
 //! * [`clock`] — scaled wall-clock time (1 simulated second = `1/scale`

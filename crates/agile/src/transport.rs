@@ -16,24 +16,32 @@
 //! thread-per-host fabric delivers through in-memory queues whose real
 //! scheduling delay already plays that role.
 //!
-//! Every queue is **bounded**: host inboxes shed datagrams on overflow (a
-//! real UDP socket buffer drops, it does not block the sender) and request
-//! channels refuse with [`RequestError::Busy`] — explicit backpressure
-//! instead of unbounded memory growth under overload or against a wedged
-//! host. Shed events are counted ([`Network::shed_count`], per-client
-//! [`RequestClient::shed_count`]) so experiments can report them, and every
-//! queue exposes its in-flight depth so the cluster can detect quiescence.
+//! Each host has **one inbox** that it blocks on: datagrams and the
+//! cluster's control messages ([`HostControl`]) arrive on the same queue, so
+//! a submitted task wakes its host as promptly as a PLEDGE does.
+//!
+//! Every queue is **bounded** by a depth counter checked against its
+//! capacity: host inboxes shed datagrams on overflow (a real UDP socket
+//! buffer drops, it does not block the sender) and request channels refuse
+//! with [`RequestError::Busy`] — explicit backpressure instead of unbounded
+//! memory growth under overload or against a wedged host. The bound counts
+//! datagrams and requests only: a control message or a server stop is never
+//! shed and never blocks its sender. Shed events are counted
+//! ([`Network::shed_count`], per-client [`RequestClient::shed_count`]) so
+//! experiments can report them, and every queue exposes its in-flight depth
+//! so the cluster can detect quiescence.
 
+use crate::host::HostControl;
 use realtor_net::{LinkQuality, Sampled};
 use realtor_simcore::SimRng;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender, TrySendError};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex, RwLock};
 
 /// Host index within a cluster.
 pub type HostId = usize;
 
-/// Default bound on a host's datagram inbox.
+/// Default bound on the datagrams queued in a host's inbox.
 pub const DEFAULT_MAILBOX_CAPACITY: usize = 1024;
 
 /// Default bound on a request channel's pending-request queue.
@@ -48,12 +56,35 @@ pub struct Datagram {
     pub payload: Vec<u8>,
 }
 
-/// One host's bounded inbox slot; replaced wholesale on reattach.
+/// One entry of a host's inbox.
+#[derive(Debug)]
+pub enum Inbound {
+    /// A discovery datagram (bounded: shed when the inbox is full).
+    Datagram(Datagram),
+    /// A control-plane message (never shed).
+    Control(HostControl),
+}
+
+/// One host's inbox slot; replaced wholesale on reattach.
 struct InboxSlot {
-    tx: SyncSender<Datagram>,
+    tx: Sender<Inbound>,
     /// Datagrams enqueued but not yet received (this channel generation
-    /// only — a reattach installs a fresh counter).
+    /// only — a reattach installs a fresh counter). Control messages are
+    /// not counted: the mailbox bound and its gauges are about datagrams.
     depth: Arc<AtomicU64>,
+}
+
+impl InboxSlot {
+    /// A fresh slot and the receiving half of its inbox.
+    fn open() -> (InboxSlot, Receiver<Inbound>, Arc<AtomicU64>) {
+        let (tx, rx) = channel();
+        let depth = Arc::new(AtomicU64::new(0));
+        let slot = InboxSlot {
+            tx,
+            depth: Arc::clone(&depth),
+        };
+        (slot, rx, depth)
+    }
 }
 
 struct Shared {
@@ -83,7 +114,7 @@ pub struct Network {
 pub struct Endpoint {
     host: HostId,
     network: Network,
-    inbox: Receiver<Datagram>,
+    inbox: Receiver<Inbound>,
     depth: Arc<AtomicU64>,
 }
 
@@ -104,8 +135,9 @@ impl Network {
         Self::with_options(hosts, quality, seed, DEFAULT_MAILBOX_CAPACITY)
     }
 
-    /// Full-control constructor: `mailbox_capacity` bounds every host inbox;
-    /// datagrams arriving at a full inbox are shed (and counted).
+    /// Full-control constructor: `mailbox_capacity` bounds the datagrams
+    /// queued in every host inbox; datagrams arriving at a full inbox are
+    /// shed (and counted).
     pub fn with_options(
         hosts: usize,
         quality: LinkQuality,
@@ -117,12 +149,8 @@ impl Network {
         let mut inboxes = Vec::with_capacity(hosts);
         let mut receivers = Vec::with_capacity(hosts);
         for _ in 0..hosts {
-            let (tx, rx) = sync_channel(mailbox_capacity);
-            let depth = Arc::new(AtomicU64::new(0));
-            inboxes.push(InboxSlot {
-                tx,
-                depth: Arc::clone(&depth),
-            });
+            let (slot, rx, depth) = InboxSlot::open();
+            inboxes.push(slot);
             receivers.push((rx, depth));
         }
         let network = Network {
@@ -197,26 +225,27 @@ impl Network {
             .sum()
     }
 
-    /// Replace `host`'s inbox with a fresh bounded channel and return the
-    /// new endpoint — the transport half of an amnesiac host restart.
-    /// Datagrams still queued for the old endpoint are lost with it, exactly
-    /// like the socket buffer of a crashed process.
+    /// Replace `host`'s inbox with a fresh one and return the new endpoint
+    /// — the transport half of an amnesiac host restart. Datagrams and
+    /// control messages still queued for the old endpoint are lost with it,
+    /// exactly like the socket buffer of a crashed process.
     pub fn reattach(&self, host: HostId) -> Endpoint {
-        let (tx, rx) = sync_channel(self.shared.mailbox_capacity);
-        let depth = Arc::new(AtomicU64::new(0));
-        {
-            let mut inboxes = self.shared.inboxes.write().expect("inboxes lock");
-            inboxes[host] = InboxSlot {
-                tx,
-                depth: Arc::clone(&depth),
-            };
-        }
+        let (slot, rx, depth) = InboxSlot::open();
+        self.shared.inboxes.write().expect("inboxes lock")[host] = slot;
         Endpoint {
             host,
             network: self.clone(),
             inbox: rx,
             depth,
         }
+    }
+
+    /// Queue a control message in `host`'s current inbox, behind whatever
+    /// is already there. Never shed and never blocks; returns false if the
+    /// inbox is closed (its host thread has ended).
+    pub fn send_control(&self, host: HostId, msg: HostControl) -> bool {
+        let inboxes = self.shared.inboxes.read().expect("inboxes lock");
+        inboxes[host].tx.send(Inbound::Control(msg)).is_ok()
     }
 
     /// Define (or redefine) multicast group `group`.
@@ -256,23 +285,22 @@ impl Network {
         let slot = &inboxes[to];
         for _ in 0..copies {
             let depth = slot.depth.fetch_add(1, Relaxed) + 1;
-            match slot.tx.try_send(Datagram {
+            if depth > self.shared.mailbox_capacity as u64 {
+                // Bounded mailbox: a full inbox sheds, like a UDP socket
+                // buffer — the sender is never blocked by a slow peer.
+                slot.depth.fetch_sub(1, Relaxed);
+                self.shared.shed.fetch_add(1, Relaxed);
+                continue;
+            }
+            let dgram = Datagram {
                 from,
                 payload: payload.clone(),
-            }) {
-                Ok(()) => {
-                    self.shared.high_water[to].fetch_max(depth, Relaxed);
-                }
-                Err(TrySendError::Full(_)) => {
-                    // Bounded mailbox: a full inbox sheds, like a UDP socket
-                    // buffer — the sender is never blocked by a slow peer.
-                    slot.depth.fetch_sub(1, Relaxed);
-                    self.shared.shed.fetch_add(1, Relaxed);
-                }
-                Err(TrySendError::Disconnected(_)) => {
-                    // A closed inbox means the host has shut down.
-                    slot.depth.fetch_sub(1, Relaxed);
-                }
+            };
+            if slot.tx.send(Inbound::Datagram(dgram)).is_ok() {
+                self.shared.high_water[to].fetch_max(depth, Relaxed);
+            } else {
+                // A closed inbox means the host has shut down.
+                slot.depth.fetch_sub(1, Relaxed);
             }
         }
     }
@@ -303,18 +331,25 @@ impl Endpoint {
         }
     }
 
-    /// Non-blocking receive.
-    pub fn try_recv(&self) -> Option<Datagram> {
-        let d = self.inbox.try_recv().ok()?;
-        self.depth.fetch_sub(1, Relaxed);
-        Some(d)
+    /// Non-blocking receive of the next datagram or control message.
+    pub fn try_recv(&self) -> Option<Inbound> {
+        self.inbox.try_recv().ok().map(|item| self.received(item))
     }
 
-    /// Blocking receive with a wall-clock timeout.
-    pub fn recv_timeout(&self, timeout: std::time::Duration) -> Option<Datagram> {
-        let d = self.inbox.recv_timeout(timeout).ok()?;
-        self.depth.fetch_sub(1, Relaxed);
-        Some(d)
+    /// Receive the next datagram or control message, blocking up to
+    /// `timeout` of wall-clock time.
+    pub fn recv_timeout(&self, timeout: std::time::Duration) -> Option<Inbound> {
+        self.inbox
+            .recv_timeout(timeout)
+            .ok()
+            .map(|item| self.received(item))
+    }
+
+    fn received(&self, item: Inbound) -> Inbound {
+        if let Inbound::Datagram(_) = item {
+            self.depth.fetch_sub(1, Relaxed);
+        }
+        item
     }
 }
 
@@ -336,13 +371,24 @@ pub enum RequestError {
 /// full server refuses new requests with [`RequestError::Busy`] instead of
 /// queueing without limit.
 pub struct RequestServer<Req, Rep> {
-    rx: Receiver<(Req, Sender<Rep>)>,
+    rx: Receiver<Envelope<Req, Rep>>,
+    /// Feeds [`RequestServer::stopper`] handles.
+    tx: Sender<Envelope<Req, Rep>>,
     in_flight: Arc<AtomicU64>,
+}
+
+/// One entry of a request queue.
+enum Envelope<Req, Rep> {
+    /// A request and where to send its reply.
+    Request(Req, Sender<Rep>),
+    /// End [`RequestServer::serve_until_stopped`].
+    Stop,
 }
 
 /// Client half of a [`RequestServer`]; cheap to clone.
 pub struct RequestClient<Req, Rep> {
-    tx: SyncSender<(Req, Sender<Rep>)>,
+    tx: Sender<Envelope<Req, Rep>>,
+    capacity: u64,
     in_flight: Arc<AtomicU64>,
     shed: Arc<AtomicU64>,
 }
@@ -352,9 +398,24 @@ impl<Req, Rep> Clone for RequestClient<Req, Rep> {
     fn clone(&self) -> Self {
         RequestClient {
             tx: self.tx.clone(),
+            capacity: self.capacity,
             in_flight: Arc::clone(&self.in_flight),
             shed: Arc::clone(&self.shed),
         }
+    }
+}
+
+/// Stops the [`RequestServer`] it came from; see
+/// [`RequestServer::stopper`].
+pub struct RequestStopper<Req, Rep> {
+    tx: Sender<Envelope<Req, Rep>>,
+}
+
+impl<Req, Rep> RequestStopper<Req, Rep> {
+    /// Queue a stop behind every request already queued. Never refused by
+    /// the queue bound and never blocks; a no-op if the server is gone.
+    pub fn stop(&self) {
+        let _ = self.tx.send(Envelope::Stop);
     }
 }
 
@@ -369,42 +430,39 @@ pub fn request_channel_with<Req, Rep>(
     capacity: usize,
 ) -> (RequestClient<Req, Rep>, RequestServer<Req, Rep>) {
     assert!(capacity > 0, "request capacity must be positive");
-    let (tx, rx) = sync_channel(capacity);
+    let (tx, rx) = channel();
     let in_flight = Arc::new(AtomicU64::new(0));
     (
         RequestClient {
-            tx,
+            tx: tx.clone(),
+            capacity: capacity as u64,
             in_flight: Arc::clone(&in_flight),
             shed: Arc::new(AtomicU64::new(0)),
         },
-        RequestServer { rx, in_flight },
+        RequestServer { rx, tx, in_flight },
     )
 }
 
 impl<Req, Rep> RequestClient<Req, Rep> {
     /// Send `req` and wait up to `timeout` for the reply.
     pub fn request(&self, req: Req, timeout: std::time::Duration) -> Result<Rep, RequestError> {
+        if self.in_flight.fetch_add(1, Relaxed) >= self.capacity {
+            self.in_flight.fetch_sub(1, Relaxed);
+            self.shed.fetch_add(1, Relaxed);
+            return Err(RequestError::Busy);
+        }
         let (reply_tx, reply_rx) = channel();
-        self.in_flight.fetch_add(1, Relaxed);
-        match self.tx.try_send((req, reply_tx)) {
-            Ok(()) => {}
-            Err(TrySendError::Full(_)) => {
-                self.in_flight.fetch_sub(1, Relaxed);
-                self.shed.fetch_add(1, Relaxed);
-                return Err(RequestError::Busy);
-            }
-            Err(TrySendError::Disconnected(_)) => {
-                self.in_flight.fetch_sub(1, Relaxed);
-                return Err(RequestError::Closed);
-            }
+        if self.tx.send(Envelope::Request(req, reply_tx)).is_err() {
+            self.in_flight.fetch_sub(1, Relaxed);
+            return Err(RequestError::Closed);
         }
         // The server decrements in-flight when it takes the request; a
         // request stuck in the queue of a dead server stays visibly
         // in-flight until the channel drops.
         match reply_rx.recv_timeout(timeout) {
             Ok(rep) => Ok(rep),
-            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => Err(RequestError::Timeout),
-            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => Err(RequestError::Closed),
+            Err(RecvTimeoutError::Timeout) => Err(RequestError::Timeout),
+            Err(RecvTimeoutError::Disconnected) => Err(RequestError::Closed),
         }
     }
 
@@ -420,32 +478,53 @@ impl<Req, Rep> RequestClient<Req, Rep> {
 }
 
 impl<Req, Rep> RequestServer<Req, Rep> {
+    /// A handle whose [`RequestStopper::stop`] ends
+    /// [`RequestServer::serve_until_stopped`] once the requests queued ahead
+    /// of it are served.
+    pub fn stopper(&self) -> RequestStopper<Req, Rep> {
+        RequestStopper {
+            tx: self.tx.clone(),
+        }
+    }
+
+    /// Answer `req` through `reply` with the handler's return value.
+    fn answer(&self, req: Req, reply: Sender<Rep>, handler: impl FnOnce(Req) -> Rep) {
+        self.in_flight.fetch_sub(1, Relaxed);
+        let _ = reply.send(handler(req));
+    }
+
     /// Wait up to `timeout` for the next request; the handler's return value
-    /// is delivered to the caller.
+    /// is delivered to the caller. Returns whether a request was served.
     pub fn serve_one(
         &self,
         timeout: std::time::Duration,
         handler: impl FnOnce(Req) -> Rep,
     ) -> bool {
         match self.rx.recv_timeout(timeout) {
-            Ok((req, reply)) => {
-                self.in_flight.fetch_sub(1, Relaxed);
-                let _ = reply.send(handler(req));
+            Ok(Envelope::Request(req, reply)) => {
+                self.answer(req, reply, handler);
                 true
             }
-            Err(_) => false,
+            Ok(Envelope::Stop) | Err(_) => false,
         }
     }
 
-    /// Serve every request currently queued without blocking.
+    /// Serve every request currently queued without blocking, up to a stop.
     pub fn serve_pending(&self, mut handler: impl FnMut(Req) -> Rep) -> usize {
         let mut served = 0;
-        while let Ok((req, reply)) = self.rx.try_recv() {
-            self.in_flight.fetch_sub(1, Relaxed);
-            let _ = reply.send(handler(req));
+        while let Ok(Envelope::Request(req, reply)) = self.rx.try_recv() {
+            self.answer(req, reply, &mut handler);
             served += 1;
         }
         served
+    }
+
+    /// Serve requests as they arrive, blocking between them, until a
+    /// [`RequestStopper::stop`] reaches the front of the queue.
+    pub fn serve_until_stopped(&self, mut handler: impl FnMut(Req) -> Rep) {
+        while let Ok(Envelope::Request(req, reply)) = self.rx.recv() {
+            self.answer(req, reply, &mut handler);
+        }
     }
 }
 
@@ -519,11 +598,18 @@ mod tests {
     use super::*;
     use std::time::Duration;
 
+    fn datagram(item: Option<Inbound>) -> Datagram {
+        match item {
+            Some(Inbound::Datagram(d)) => d,
+            other => panic!("expected a datagram, got {other:?}"),
+        }
+    }
+
     #[test]
     fn unicast_delivers() {
         let (_net, eps) = Network::new(3, 0.0, 1);
         eps[0].send(2, b"hello".to_vec());
-        let d = eps[2].recv_timeout(Duration::from_millis(100)).unwrap();
+        let d = datagram(eps[2].recv_timeout(Duration::from_millis(100)));
         assert_eq!(d.from, 0);
         assert_eq!(&d.payload[..], b"hello");
         assert!(eps[1].try_recv().is_none());
@@ -538,7 +624,7 @@ mod tests {
             if i == 1 {
                 assert!(got.is_none(), "sender must not hear itself");
             } else {
-                assert_eq!(got.unwrap().from, 1);
+                assert_eq!(datagram(got).from, 1);
             }
         }
     }
@@ -616,6 +702,39 @@ mod tests {
     }
 
     #[test]
+    fn shared_inbox_bounds_datagrams_but_never_sheds_control() {
+        let k = 3;
+        let (net, eps) = Network::with_options(2, LinkQuality::IDEAL, 1, k);
+        for i in 0..=k as u8 {
+            eps[0].send(1, vec![i]);
+        }
+        assert_eq!(net.shed_count(), 1, "the (k+1)-th datagram is shed");
+        assert_eq!(net.mailbox_depth(1), k as u64);
+        assert_eq!(net.mailbox_high_water(1), k as u64);
+        // A control message into the full inbox is still queued, uncounted.
+        assert!(net.send_control(1, HostControl::Kill), "inbox open");
+        assert_eq!(net.shed_count(), 1);
+        assert_eq!(net.mailbox_depth(1), k as u64);
+        assert_eq!(net.mailbox_high_water(1), k as u64);
+        for i in 0..k as u8 {
+            assert_eq!(datagram(eps[1].try_recv()).payload, vec![i]);
+        }
+        assert!(
+            matches!(eps[1].try_recv(), Some(Inbound::Control(HostControl::Kill))),
+            "the control message arrives behind the datagrams"
+        );
+        assert!(eps[1].try_recv().is_none());
+        assert_eq!(net.in_flight(), 0);
+    }
+
+    #[test]
+    fn control_to_a_closed_inbox_is_refused() {
+        let (net, mut eps) = Network::new(2, 0.0, 1);
+        eps.pop(); // host 1's thread ended
+        assert!(!net.send_control(1, HostControl::Stop));
+    }
+
+    #[test]
     fn in_flight_tracks_queue_depth() {
         let (net, eps) = Network::new(2, 0.0, 1);
         assert_eq!(net.in_flight(), 0);
@@ -637,7 +756,7 @@ mod tests {
         eps[1] = fresh;
         assert_eq!(net.in_flight(), 0, "reattach resets the depth accounting");
         eps[0].send(1, b"fresh".to_vec());
-        let d = eps[1].recv_timeout(Duration::from_millis(100)).unwrap();
+        let d = datagram(eps[1].recv_timeout(Duration::from_millis(100)));
         assert_eq!(&d.payload[..], b"fresh");
         assert!(eps[1].try_recv().is_none());
     }
@@ -717,6 +836,35 @@ mod tests {
     }
 
     #[test]
+    fn stop_ends_serving_behind_queued_requests_even_when_full() {
+        let (client, server) = request_channel_with::<u32, u32>(2);
+        let mut replies = Vec::new();
+        for i in 0..2 {
+            // Queue requests without waiting for their replies.
+            let (tx, rx) = channel();
+            client.in_flight.fetch_add(1, Relaxed);
+            client.tx.send(Envelope::Request(i, tx)).unwrap();
+            replies.push(rx);
+        }
+        assert_eq!(
+            client.request(9, Duration::from_millis(1)),
+            Err(RequestError::Busy)
+        );
+        // The queue is full, yet the stop is queued, behind both requests.
+        server.stopper().stop();
+        let mut served = 0;
+        server.serve_until_stopped(|x| {
+            served += 1;
+            x + 10
+        });
+        assert_eq!(served, 2);
+        assert_eq!(client.in_flight(), 0);
+        for (i, rx) in replies.into_iter().enumerate() {
+            assert_eq!(rx.recv().unwrap(), i as u32 + 10);
+        }
+    }
+
+    #[test]
     fn serve_pending_drains_queue() {
         let (client, server) = request_channel::<u32, u32>();
         let mut replies = Vec::new();
@@ -724,7 +872,7 @@ mod tests {
             // fire requests from a thread that doesn't wait for replies
             let c = client.clone();
             let (tx, rx) = channel();
-            c.tx.try_send((i, tx)).unwrap();
+            c.tx.send(Envelope::Request(i, tx)).unwrap();
             c.in_flight.fetch_add(1, Relaxed);
             replies.push(rx);
         }
