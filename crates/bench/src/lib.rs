@@ -1,17 +1,18 @@
 //! Shared helpers for the in-tree benchmark harness.
 //!
-//! Each `benches/figN_*.rs` target does two things:
-//! 1. prints a scaled-down version of the paper figure's series once (so a
-//!    plain `cargo bench` run shows the reproduced shape), and
-//! 2. benchmarks the simulation kernel that generates it with the
-//!    zero-dependency [`runner`] (warmup + median-of-N wall clock, JSON
-//!    lines appended under `results/`).
+//! The `benches/` targets print a scaled-down version of the figures they
+//! cover (so a plain `cargo bench` run shows the reproduced shape), then
+//! time the work that generates them with the zero-dependency [`runner`]
+//! (warmup + median-of-N wall clock, JSON lines appended under
+//! `results/`): `paper_figures` covers Figures 5–8 from one paired sweep,
+//! `fig9_cluster` the cluster measurement, and `micro`/`transport` the
+//! layers underneath.
 //!
 //! The full-scale series (paper horizons) come from the `experiments`
 //! binary; see DESIGN.md's per-experiment index.
 
 use realtor_core::ProtocolKind;
-use realtor_sim::{run_sweep, FigureMetric, Scenario};
+use realtor_sim::Scenario;
 
 pub mod runner;
 
@@ -26,11 +27,4 @@ pub const BENCH_SEED: u64 = 42;
 /// A bench-scale paper scenario.
 pub fn bench_scenario(protocol: ProtocolKind, lambda: f64) -> Scenario {
     Scenario::paper(protocol, lambda, BENCH_HORIZON_SECS, BENCH_SEED)
-}
-
-/// Print the bench-scale series for one figure metric.
-pub fn print_series(metric: FigureMetric, title: &str) {
-    let lambdas = [2.0, 4.0, 6.0, 8.0, 10.0];
-    let sweep = run_sweep(&ProtocolKind::ALL, &lambdas, bench_scenario);
-    println!("\n{}", sweep.figure(metric, title).to_markdown());
 }

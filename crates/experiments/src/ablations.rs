@@ -3,31 +3,31 @@
 
 use crate::output::{emit, OutDir};
 use realtor_core::{ProtocolConfig, ProtocolKind};
-use realtor_sim::sweep::run_parallel;
 use realtor_sim::{run_scenario, Scenario};
+use realtor_simcore::pool::run_ordered;
 use realtor_simcore::table::{Cell, Table};
 use realtor_simcore::SimDuration;
 
 /// A1: sweep `alpha` × `beta` (and a small `Upper_limit` set) at a fixed
 /// overload point and report admission probability and cost per admitted
-/// task.
-pub fn run_algorithm_h(lambda: f64, horizon_secs: u64, seed: u64, out: &OutDir) {
+/// task. Points run on `jobs` workers, all at the same seed.
+pub fn run_algorithm_h(lambda: f64, horizon_secs: u64, seed: u64, jobs: usize, out: &OutDir) {
     let alphas = [0.1, 0.25, 0.5, 1.0, 2.0];
     let betas = [0.1, 0.25, 0.5, 0.75];
     let uppers = [10u64, 100, 1000];
-    let mut jobs = Vec::new();
+    let mut points = Vec::new();
     for &upper in &uppers {
         for &alpha in &alphas {
             for &beta in &betas {
-                jobs.push((upper, alpha, beta));
+                points.push((upper, alpha, beta));
             }
         }
     }
     eprintln!(
         "ablation A1 (Algorithm H): {} points at lambda={lambda}",
-        jobs.len()
+        points.len()
     );
-    let results = run_parallel(&jobs, |&(upper, alpha, beta)| {
+    let results = run_ordered(jobs, &points, |&(upper, alpha, beta)| {
         let cfg = ProtocolConfig::paper()
             .with_alpha(alpha)
             .with_beta(beta)
@@ -48,7 +48,7 @@ pub fn run_algorithm_h(lambda: f64, horizon_secs: u64, seed: u64, out: &OutDir) 
         ],
     )
     .float_precision(4);
-    for ((upper, alpha, beta), r) in jobs.into_iter().zip(results) {
+    for ((upper, alpha, beta), r) in points.into_iter().zip(results) {
         table.push_row(vec![
             Cell::Int(upper as i64),
             Cell::Float(alpha),
@@ -62,7 +62,8 @@ pub fn run_algorithm_h(lambda: f64, horizon_secs: u64, seed: u64, out: &OutDir) 
 }
 
 /// A2: sweep the H/P occupancy thresholds for every protocol that uses them.
-pub fn run_thresholds(lambda: f64, horizon_secs: u64, seed: u64, out: &OutDir) {
+/// Points run on `jobs` workers, all at the same seed.
+pub fn run_thresholds(lambda: f64, horizon_secs: u64, seed: u64, jobs: usize, out: &OutDir) {
     let thresholds = [0.5, 0.6, 0.7, 0.8, 0.9, 0.95];
     let protocols = [
         ProtocolKind::Realtor,
@@ -70,17 +71,17 @@ pub fn run_thresholds(lambda: f64, horizon_secs: u64, seed: u64, out: &OutDir) {
         ProtocolKind::AdaptivePush,
         ProtocolKind::PurePull,
     ];
-    let mut jobs = Vec::new();
+    let mut points = Vec::new();
     for &p in &protocols {
         for &th in &thresholds {
-            jobs.push((p, th));
+            points.push((p, th));
         }
     }
     eprintln!(
         "ablation A2 (thresholds): {} points at lambda={lambda}",
-        jobs.len()
+        points.len()
     );
-    let results = run_parallel(&jobs, |&(p, th)| {
+    let results = run_ordered(jobs, &points, |&(p, th)| {
         let cfg = ProtocolConfig::paper()
             .with_help_threshold(th)
             .with_pledge_threshold(th);
@@ -98,7 +99,7 @@ pub fn run_thresholds(lambda: f64, horizon_secs: u64, seed: u64, out: &OutDir) {
         ],
     )
     .float_precision(4);
-    for ((p, th), r) in jobs.into_iter().zip(results) {
+    for ((p, th), r) in points.into_iter().zip(results) {
         table.push_row(vec![
             p.label().into(),
             Cell::Float(th),

@@ -2,8 +2,8 @@
 //! JSONL produced by the A14 trace layer (the DES `trace` command or the
 //! live cluster's `cluster_run.jsonl`).
 //!
-//! The input is parsed by a hand-rolled flat-JSON-object reader (the trace
-//! writer emits exactly that shape; no serde in the dependency set). From
+//! Each line is parsed by the workspace's JSON reader (`simcore::json`) and
+//! must be a flat object, the shape the trace writer emits. From
 //! the `(span, parent)` causal links the analyzer reconstructs the
 //! discovery → admission → recovery lineage of every task and reports:
 //!
@@ -23,190 +23,25 @@
 //! task whose chain does not reach a root) fails the run with exit 1 — the
 //! CI gate behind the A19 acceptance criterion.
 
+use realtor_simcore::json::{self, JsonValue};
 use realtor_simcore::stats::LogHistogram;
 use realtor_simcore::time::TICKS_PER_SEC;
 use std::collections::BTreeMap;
 use std::io::Read;
 
-/// A parsed flat JSON value — the subset the trace writer emits.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonValue {
-    /// A non-negative integer (span ids, tick timestamps, counts).
-    U64(u64),
-    /// Any other number.
-    F64(f64),
-    /// A string.
-    Str(String),
-    /// A boolean.
-    Bool(bool),
-    /// JSON `null`.
-    Null,
-}
-
-struct Cursor<'a> {
-    s: &'a [u8],
-    i: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn skip_ws(&mut self) {
-        while matches!(self.s.get(self.i), Some(b' ' | b'\t' | b'\r' | b'\n')) {
-            self.i += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.s.get(self.i).copied()
-    }
-
-    fn eat(&mut self, c: u8) -> Result<(), String> {
-        if self.peek() == Some(c) {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected '{}' at byte {}, found {:?}",
-                c as char,
-                self.i,
-                self.peek().map(|b| b as char)
-            ))
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.i += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.i += 1;
-                    let esc = self.peek().ok_or("dangling escape")?;
-                    self.i += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .s
-                                .get(self.i..self.i + 4)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
-                            self.i += 4;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        other => return Err(format!("unknown escape \\{}", other as char)),
-                    }
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so the
-                    // byte stream is valid UTF-8).
-                    let rest = &self.s[self.i..];
-                    let ch_len = std::str::from_utf8(rest)
-                        .map_err(|_| "invalid utf-8")?
-                        .chars()
-                        .next()
-                        .map(|c| c.len_utf8())
-                        .unwrap_or(1);
-                    out.push_str(std::str::from_utf8(&rest[..ch_len]).unwrap());
-                    self.i += ch_len;
-                }
-            }
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<JsonValue, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'"') => Ok(JsonValue::Str(self.parse_string()?)),
-            Some(b't') if self.s[self.i..].starts_with(b"true") => {
-                self.i += 4;
-                Ok(JsonValue::Bool(true))
-            }
-            Some(b'f') if self.s[self.i..].starts_with(b"false") => {
-                self.i += 5;
-                Ok(JsonValue::Bool(false))
-            }
-            Some(b'n') if self.s[self.i..].starts_with(b"null") => {
-                self.i += 4;
-                Ok(JsonValue::Null)
-            }
-            Some(c) if c == b'-' || c.is_ascii_digit() => {
-                let start = self.i;
-                while matches!(
-                    self.peek(),
-                    Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-                ) {
-                    self.i += 1;
-                }
-                let tok = std::str::from_utf8(&self.s[start..self.i]).unwrap();
-                if let Ok(u) = tok.parse::<u64>() {
-                    Ok(JsonValue::U64(u))
-                } else {
-                    tok.parse::<f64>()
-                        .map(JsonValue::F64)
-                        .map_err(|_| format!("bad number '{tok}'"))
-                }
-            }
-            other => Err(format!("unexpected value start: {other:?}")),
-        }
-    }
-}
-
-/// Parse one flat JSON object line (`{"k":v,...}`, no nesting) into its
-/// key/value pairs, preserving order.
+/// Parse one flat JSON object line (`{"k":v,...}`, no member an object or
+/// an array) into its key/value pairs, preserving order.
 pub fn parse_flat_object(line: &str) -> Result<Vec<(String, JsonValue)>, String> {
-    let mut c = Cursor {
-        s: line.as_bytes(),
-        i: 0,
+    let JsonValue::Object(members) = json::parse(line)? else {
+        return Err("expected a JSON object".into());
     };
-    c.skip_ws();
-    c.eat(b'{')?;
-    let mut out = Vec::new();
-    c.skip_ws();
-    if c.peek() == Some(b'}') {
-        c.i += 1;
-        c.skip_ws();
-        if c.i != c.s.len() {
-            return Err("trailing bytes after object".into());
-        }
-        return Ok(out);
+    if let Some((key, _)) = members
+        .iter()
+        .find(|(_, v)| matches!(v, JsonValue::Object(_) | JsonValue::Array(_)))
+    {
+        return Err(format!("member \"{key}\" is not a flat value"));
     }
-    loop {
-        c.skip_ws();
-        let key = c.parse_string()?;
-        c.skip_ws();
-        c.eat(b':')?;
-        let value = c.parse_value()?;
-        out.push((key, value));
-        c.skip_ws();
-        match c.peek() {
-            Some(b',') => c.i += 1,
-            Some(b'}') => {
-                c.i += 1;
-                c.skip_ws();
-                if c.i != c.s.len() {
-                    return Err("trailing bytes after object".into());
-                }
-                return Ok(out);
-            }
-            other => return Err(format!("expected ',' or '}}', found {other:?}")),
-        }
-    }
+    Ok(members)
 }
 
 /// One trace record, reduced to the fields the analysis needs.
@@ -678,6 +513,25 @@ mod tests {
         assert_eq!(obj[5], ("s".into(), JsonValue::Str("a\"b".into())));
         assert!(parse_flat_object("{\"a\":1} x").is_err());
         assert!(parse_flat_object("{\"a\"").is_err());
+        // The number and string grammar is the validator's.
+        assert!(parse_flat_object("{\"a\":1.}").is_err());
+        assert!(parse_flat_object("{\"a\":\"x\u{1}y\"}").is_err());
+        assert!(parse_flat_object("[1]").is_err());
+    }
+
+    #[test]
+    fn nested_lines_fail_with_their_line_number() {
+        let trace = [
+            r#"{"t":10,"node":0,"kind":"task_admit","sev":"info","span":0}"#,
+            r#"{"t":20,"node":0,"kind":"task_admit","sev":"info","f":{"span":2}}"#,
+        ]
+        .join("\n");
+        let err = analyze_str(&trace)
+            .err()
+            .expect("a nested object is rejected");
+        assert!(err.starts_with("line 2: "), "{err}");
+        let err = analyze_str(r#"{"t":1,"kind":"x","a":[1]}"#).err().unwrap();
+        assert!(err.starts_with("line 1: "), "{err}");
     }
 
     #[test]

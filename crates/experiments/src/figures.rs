@@ -1,102 +1,69 @@
 //! Figures 5–8: the main simulation sweep of the paper's Section 5.
 //!
-//! Since PR 6 the sweep executes through the deterministic grid runner
-//! (`realtor-runner`): cells fan out over `--jobs N` workers and come back
-//! in grid order, so the emitted tables are byte-identical for any job
-//! count — and bit-exact with the historical serial driver, because the
-//! grid keeps the paper's shared-seed paired-comparison policy.
+//! One paired λ sweep feeds all four figures: every protocol at a λ runs
+//! on the grid seed itself (`SeedPolicy::Shared`), so all five see the
+//! same arrivals. The sweep runs on the grid runner (`realtor-runner`):
+//! cells fan out over `--jobs N` workers and come back in grid order, so
+//! the emitted tables are byte-identical for any job count.
 
 use crate::output::{emit, OutDir};
 use realtor_core::ProtocolKind;
 use realtor_runner::{replicate_until_ci, run_grid, CiPolicy, RunOpts, SweepGrid};
-use realtor_sim::sweep::SweepPoint;
-use realtor_sim::{run_scenario, FigureMetric, ReplicatedSweep, Scenario, Sweep};
+pub use realtor_sim::Figure;
+use realtor_sim::{figure_table, run_scenario, Scenario, SimResult};
 use realtor_simcore::table::{Cell, Table};
 
-/// Run the paired λ sweep shared by Figures 5–8 on `jobs` workers.
-pub fn run_main_sweep(lambdas: &[f64], horizon_secs: u64, seed: u64, jobs: usize) -> Sweep {
-    let grid = SweepGrid::new(seed)
+/// The paired λ grid shared by Figures 5–8: every protocol at every λ,
+/// protocol-major, the point order `realtor_sim::figure_table` renders.
+fn main_grid(lambdas: &[f64], seed: u64) -> SweepGrid {
+    SweepGrid::new(seed)
         .with_protocols(&ProtocolKind::ALL)
-        .with_lambdas(lambdas);
-    let results = run_grid(&grid, &RunOpts::jobs(jobs), |cell| {
+        .with_lambdas(lambdas)
+}
+
+/// Run the paired λ sweep shared by Figures 5–8 on `jobs` workers; the
+/// results are in [`main_grid`] order.
+pub fn run_main_sweep(
+    lambdas: &[f64],
+    horizon_secs: u64,
+    seed: u64,
+    jobs: usize,
+) -> Vec<SimResult> {
+    run_grid(&main_grid(lambdas, seed), &RunOpts::jobs(jobs), |cell| {
         run_scenario(&Scenario::paper(
             cell.protocol,
             cell.lambda,
             horizon_secs,
             cell.seed,
         ))
-    });
-    let points = grid
-        .cells()
-        .iter()
-        .zip(results)
-        .map(|(cell, result)| SweepPoint {
-            protocol: cell.protocol,
-            lambda: cell.lambda,
-            result,
-        })
-        .collect();
-    Sweep {
-        lambdas: lambdas.to_vec(),
-        protocols: ProtocolKind::ALL.to_vec(),
-        points,
-    }
+    })
 }
 
-/// Which figures to emit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Figure {
-    Fig5,
-    Fig6,
-    Fig7,
-    Fig8,
-}
-
-impl Figure {
-    pub fn metric(self) -> FigureMetric {
-        match self {
-            Figure::Fig5 => FigureMetric::AdmissionProbability,
-            Figure::Fig6 => FigureMetric::TotalMessages,
-            Figure::Fig7 => FigureMetric::CostPerAdmittedTask,
-            Figure::Fig8 => FigureMetric::MigrationRate,
-        }
-    }
-
-    pub fn title(self) -> &'static str {
-        match self {
-            Figure::Fig5 => "Figure 5 — Admission probability",
-            Figure::Fig6 => "Figure 6 — Number of messages exchanged",
-            Figure::Fig7 => "Figure 7 — Communication cost per admitted task",
-            Figure::Fig8 => "Figure 8 — Migration rate",
-        }
-    }
-
-    pub fn file_stem(self) -> &'static str {
-        match self {
-            Figure::Fig5 => "fig5_admission_probability",
-            Figure::Fig6 => "fig6_number_of_messages",
-            Figure::Fig7 => "fig7_cost_per_admitted_task",
-            Figure::Fig8 => "fig8_migration_rate",
-        }
-    }
-}
-
-/// Render and emit one figure from a sweep.
-pub fn emit_figure(sweep: &Sweep, figure: Figure, out: &OutDir, plot: bool) {
-    let table = sweep.figure(figure.metric(), figure.title());
-    emit(out, figure.file_stem(), &table);
+/// Render and emit one figure from a [`run_main_sweep`] result.
+pub fn emit_figure(
+    lambdas: &[f64],
+    results: &[SimResult],
+    figure: Figure,
+    out: &OutDir,
+    plot: bool,
+) {
+    emit(
+        out,
+        figure.file_stem(),
+        &figure.table(figure.title(), lambdas, results),
+    );
     if plot {
         use realtor_simcore::plot::{render, PlotConfig, Series};
-        let series: Vec<Series> = sweep
-            .protocols
+        let series: Vec<Series> = ProtocolKind::ALL
             .iter()
-            .map(|&p| {
+            .zip(results.chunks(lambdas.len()))
+            .map(|(p, row)| {
                 Series::new(
                     p.label(),
-                    sweep
-                        .lambdas
+                    lambdas
                         .iter()
-                        .filter_map(|&l| sweep.get(p, l).map(|r| (l, figure.metric().extract(r))))
+                        .zip(row)
+                        .map(|(&l, r)| (l, figure.extract(r)))
                         .collect(),
                 )
             })
@@ -134,9 +101,9 @@ pub fn run(
         ProtocolKind::ALL.len(),
         lambdas.len()
     );
-    let sweep = run_main_sweep(lambdas, horizon_secs, seed, jobs);
+    let results = run_main_sweep(lambdas, horizon_secs, seed, jobs);
     for &f in figures {
-        emit_figure(&sweep, f, out, plot);
+        emit_figure(lambdas, &results, f, out, plot);
     }
 }
 
@@ -166,9 +133,7 @@ pub fn run_replicated(
         policy.min_reps,
         policy.max_reps
     );
-    let grid = SweepGrid::new(seed)
-        .with_protocols(&ProtocolKind::ALL)
-        .with_lambdas(lambdas);
+    let grid = main_grid(lambdas, seed);
     let reps = run_grid(&grid, &RunOpts::jobs(jobs), |cell| {
         replicate_until_ci(
             policy,
@@ -182,35 +147,19 @@ pub fn run_replicated(
                     rep_seed,
                 ))
             },
-            |r| {
-                vec![
-                    r.admission_probability(),
-                    r.total_messages(),
-                    r.cost_per_admitted_task(),
-                    r.migration_rate(),
-                ]
-            },
+            |r| Figure::ALL.iter().map(|f| f.extract(r)).collect(),
         )
     });
-    let cells = grid.cells();
-    let sweep = ReplicatedSweep {
-        lambdas: lambdas.to_vec(),
-        protocols: ProtocolKind::ALL.to_vec(),
-        points: cells
-            .iter()
-            .zip(&reps)
-            .map(|(c, rep)| (c.protocol, c.lambda, rep.results.clone()))
-            .collect(),
-    };
     for &f in figures {
-        let table = sweep.figure(
-            f.metric(),
-            &format!(
-                "{} (mean ± 95% CI, adaptive reps to rel half-width {})",
-                f.title(),
-                policy.rel_half_width
-            ),
+        let title = format!(
+            "{} (mean ± 95% CI, adaptive reps to rel half-width {})",
+            f.title(),
+            policy.rel_half_width
         );
+        let table = figure_table(&title, lambdas, |i| {
+            let (m, ci) = reps[i].mean_ci(|r| f.extract(r));
+            Cell::Str(format!("{m:.4}±{ci:.4}"))
+        });
         emit(out, &format!("{}_ci", f.file_stem()), &table);
     }
     // The replication ledger: reps spent and the worst relative half-width
@@ -226,7 +175,7 @@ pub fn run_replicated(
         ],
     )
     .float_precision(4);
-    for (c, rep) in cells.iter().zip(&reps) {
+    for (c, rep) in grid.cells().iter().zip(&reps) {
         ledger.push_row(vec![
             Cell::Str(c.protocol.label().into()),
             Cell::Float(c.lambda),
@@ -236,4 +185,73 @@ pub fn run_replicated(
         ]);
     }
     emit(out, "figures_ci_reps", &ledger);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn sweep_table_is_lambda_rows_by_protocol_columns() {
+        let lambdas = [2.0, 6.0];
+        let results = run_main_sweep(&lambdas, 100, 11, 2);
+        assert_eq!(results.len(), ProtocolKind::ALL.len() * lambdas.len());
+        let table = Figure::Fig5.table("Fig 5 (mini)", &lambdas, &results);
+        assert_eq!(table.len(), lambdas.len());
+        let columns = table.columns();
+        assert_eq!(columns.len(), 1 + ProtocolKind::ALL.len());
+        assert_eq!(columns[0], "lambda");
+        for (col, p) in columns[1..].iter().zip(ProtocolKind::ALL) {
+            assert_eq!(col, p.label());
+        }
+        for (l, &lambda) in lambdas.iter().enumerate() {
+            assert_eq!(table.value(l, 0), Some(lambda));
+            for (p, &kind) in ProtocolKind::ALL.iter().enumerate() {
+                let alone = run_scenario(&Scenario::paper(kind, lambda, 100, 11));
+                assert_eq!(table.value(l, 1 + p), Some(alone.admission_probability()));
+            }
+        }
+        // Light load: every protocol admits nearly everything.
+        for p in 0..ProtocolKind::ALL.len() {
+            assert!(table.value(0, 1 + p).unwrap() > 0.95);
+        }
+    }
+
+    #[test]
+    fn ci_tables_hold_mean_and_half_width_cells() {
+        let dir = std::env::temp_dir().join(format!("realtor_figures_ci_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let out = OutDir(Some(dir.clone()));
+        let policy = CiPolicy::default().with_reps(3, 3);
+        run_replicated(&[Figure::Fig5], &[6.0], 150, 100, &policy, 1, &out);
+        let csv = std::fs::read_to_string(dir.join("fig5_admission_probability_ci.csv")).unwrap();
+        let mut lines = csv.lines();
+        assert_eq!(lines.next().unwrap().split(',').count(), 6);
+        let row: Vec<&str> = lines.next().unwrap().split(',').collect();
+        assert_eq!(row[0], "6.0000");
+        for cell in &row[1..] {
+            let (mean, ci) = cell.split_once('±').expect("mean±ci cell");
+            let (mean, ci): (f64, f64) = (mean.parse().unwrap(), ci.parse().unwrap());
+            assert!((0.5..=1.0).contains(&mean), "mean {mean}");
+            assert!((0.0..0.2).contains(&ci), "ci {ci}");
+        }
+        assert!(lines.next().is_none());
+        let reps = std::fs::read_to_string(dir.join("figures_ci_reps.csv")).unwrap();
+        assert_eq!(reps.lines().count(), 1 + ProtocolKind::ALL.len());
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn metric_labels() {
+        let labels = Figure::ALL.map(Figure::label);
+        assert_eq!(
+            labels,
+            [
+                "admission-probability",
+                "number-of-messages",
+                "message-cost-per-task",
+                "migration-rate"
+            ]
+        );
+    }
 }

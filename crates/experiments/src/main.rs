@@ -45,8 +45,12 @@
 //!   --horizon <secs>     simulation horizon (default 10000, the paper's scale)
 //!   --seed <n>           master seed (default 42)
 //!   --lambdas <a..b|csv> arrival-rate sweep (default 1..10)
-//!   --jobs <n>           worker threads for sweep commands (default 1 =
-//!                        serial; any value yields byte-identical output)
+//!   --jobs <n>           worker threads for sweep commands — fig5..fig8,
+//!                        figures, figures-ci, ablation-h,
+//!                        ablation-threshold, scalability, attack, lossy,
+//!                        failover, balance, staleness, deadlines, churn,
+//!                        trace (default 1 = serial; any value yields
+//!                        byte-identical output)
 //!   --out <dir>          CSV output directory (default results/)
 //!   --quick true         shrink horizons ~10x for a fast smoke run
 //!   --plot true          draw figures as ASCII charts in the terminal
@@ -104,17 +108,9 @@ fn main() {
         "fig6" => figures::run(&[Figure::Fig6], &lambdas, horizon, seed, jobs, &out, plot),
         "fig7" => figures::run(&[Figure::Fig7], &lambdas, horizon, seed, jobs, &out, plot),
         "fig8" => figures::run(&[Figure::Fig8], &lambdas, horizon, seed, jobs, &out, plot),
-        "figures" => figures::run(
-            &[Figure::Fig5, Figure::Fig6, Figure::Fig7, Figure::Fig8],
-            &lambdas,
-            horizon,
-            seed,
-            jobs,
-            &out,
-            plot,
-        ),
+        "figures" => figures::run(&Figure::ALL, &lambdas, horizon, seed, jobs, &out, plot),
         "figures-ci" => figures::run_replicated(
-            &[Figure::Fig5, Figure::Fig6, Figure::Fig7, Figure::Fig8],
+            &Figure::ALL,
             &lambdas,
             horizon.min(3000),
             seed,
@@ -125,12 +121,20 @@ fn main() {
             &out,
         ),
         "fig9" => fig9::run(&lambdas, cluster_horizon, seed, scale, &out),
-        "ablation-h" => {
-            ablations::run_algorithm_h(cli.get_f64("lambda", 7.0), horizon.min(3000), seed, &out)
-        }
-        "ablation-threshold" => {
-            ablations::run_thresholds(cli.get_f64("lambda", 7.0), horizon.min(3000), seed, &out)
-        }
+        "ablation-h" => ablations::run_algorithm_h(
+            cli.get_f64("lambda", 7.0),
+            horizon.min(3000),
+            seed,
+            jobs,
+            &out,
+        ),
+        "ablation-threshold" => ablations::run_thresholds(
+            cli.get_f64("lambda", 7.0),
+            horizon.min(3000),
+            seed,
+            jobs,
+            &out,
+        ),
         "scalability" => scalability::run(
             cli.get_f64("per-node-lambda", 0.28),
             horizon.min(2000),
@@ -227,7 +231,13 @@ fn main() {
                 );
             }
         }
-        "staleness" => staleness::run(cli.get_f64("lambda", 8.0), horizon.min(3000), seed, &out),
+        "staleness" => staleness::run(
+            cli.get_f64("lambda", 8.0),
+            horizon.min(3000),
+            seed,
+            jobs,
+            &out,
+        ),
         "analyze" => analyze::run(cli.get("input")),
         "trace" => trace::run(
             cli.get("scenario").unwrap_or("paper"),
@@ -238,18 +248,10 @@ fn main() {
             &out,
         ),
         "all" => {
-            figures::run(
-                &[Figure::Fig5, Figure::Fig6, Figure::Fig7, Figure::Fig8],
-                &lambdas,
-                horizon,
-                seed,
-                jobs,
-                &out,
-                plot,
-            );
+            figures::run(&Figure::ALL, &lambdas, horizon, seed, jobs, &out, plot);
             fig9::run(&lambdas, cluster_horizon, seed, scale, &out);
-            ablations::run_algorithm_h(7.0, horizon.min(3000), seed, &out);
-            ablations::run_thresholds(7.0, horizon.min(3000), seed, &out);
+            ablations::run_algorithm_h(7.0, horizon.min(3000), seed, jobs, &out);
+            ablations::run_thresholds(7.0, horizon.min(3000), seed, jobs, &out);
             scalability::run(0.28, horizon.min(2000), seed, jobs, &out);
             attack::run(4.0, horizon.min(3000), seed, 0.3, jobs, &out);
             lossy::run(horizon.min(3000), seed, 0.3, jobs, &out);
@@ -258,7 +260,7 @@ fn main() {
             multi_resource::run(50, 5000, seed, &out);
             speculative::run(cluster_horizon.min(300), seed, &out);
             balance::run(&[5.0, 7.0, 9.0], horizon.min(3000), seed, jobs, &out);
-            staleness::run(8.0, horizon.min(3000), seed, &out);
+            staleness::run(8.0, horizon.min(3000), seed, jobs, &out);
             dynamics::run(horizon.min(3000), seed, &out);
             deadlines::run(horizon.min(2000), seed, 20, jobs, &out);
             churn::run(6.0, horizon.min(1500), seed, jobs, &out);

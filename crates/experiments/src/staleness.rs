@@ -10,13 +10,14 @@
 
 use crate::output::{emit, OutDir};
 use realtor_core::{ProtocolConfig, ProtocolKind};
-use realtor_sim::sweep::run_parallel;
 use realtor_sim::{run_scenario, Scenario};
+use realtor_simcore::pool::run_ordered;
 use realtor_simcore::table::{Cell, Table};
 use realtor_simcore::SimDuration;
 
-/// Run the staleness sweep at a fixed overload point.
-pub fn run(lambda: f64, horizon_secs: u64, seed: u64, out: &OutDir) {
+/// Run the staleness sweep at a fixed overload point; points run on `jobs`
+/// workers, all at the same seed.
+pub fn run(lambda: f64, horizon_secs: u64, seed: u64, jobs: usize, out: &OutDir) {
     let ttls: [(&str, Option<SimDuration>); 5] = [
         ("none (keep forever)", None),
         ("100s", Some(SimDuration::from_secs(100))),
@@ -29,17 +30,17 @@ pub fn run(lambda: f64, horizon_secs: u64, seed: u64, out: &OutDir) {
         ProtocolKind::AdaptivePull,
         ProtocolKind::Realtor,
     ];
-    let mut jobs = Vec::new();
+    let mut points = Vec::new();
     for &p in &protocols {
         for &(name, ttl) in &ttls {
-            jobs.push((p, name, ttl));
+            points.push((p, name, ttl));
         }
     }
     eprintln!(
         "ablation A9 (staleness): {} points at lambda={lambda}",
-        jobs.len()
+        points.len()
     );
-    let results = run_parallel(&jobs, |&(p, _, ttl)| {
+    let results = run_ordered(jobs, &points, |&(p, _, ttl)| {
         let mut cfg = ProtocolConfig::paper();
         cfg.info_ttl = ttl;
         run_scenario(&Scenario::paper(p, lambda, horizon_secs, seed).with_protocol_config(cfg))
@@ -55,7 +56,7 @@ pub fn run(lambda: f64, horizon_secs: u64, seed: u64, out: &OutDir) {
         ],
     )
     .float_precision(4);
-    for ((p, name, _), r) in jobs.into_iter().zip(results) {
+    for ((p, name, _), r) in points.into_iter().zip(results) {
         table.push_row(vec![
             p.label().into(),
             name.into(),

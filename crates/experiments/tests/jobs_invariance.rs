@@ -2,10 +2,11 @@
 //! drivers: running the same driver at `--jobs 1`, `2` and `8` must write
 //! byte-identical CSV artifacts. This is the CLI-level counterpart of
 //! `realtor-runner`'s property tests — it exercises the actual drivers
-//! (attack, balance, deadlines, churn) through their public entry points.
+//! (attack, balance, deadlines, churn, the A1/A2 ablations, staleness)
+//! through their public entry points.
 
 use experiments::output::OutDir;
-use experiments::{attack, balance, churn, deadlines};
+use experiments::{ablations, attack, balance, churn, deadlines, staleness};
 use std::fs;
 use std::path::PathBuf;
 
@@ -79,5 +80,28 @@ fn deadlines_artifacts_are_jobs_invariant() {
 fn churn_artifacts_are_jobs_invariant() {
     assert_invariant("churn", &["churn_summary"], |jobs, out| {
         churn::run(6.0, 400, 42, jobs, out)
+    });
+}
+
+#[test]
+fn algorithm_h_ablation_artifacts_are_jobs_invariant() {
+    assert_invariant("ablation_h", &["ablation_a1_algorithm_h"], |jobs, out| {
+        ablations::run_algorithm_h(7.0, 300, 42, jobs, out)
+    });
+}
+
+#[test]
+fn threshold_ablation_artifacts_are_jobs_invariant() {
+    assert_invariant(
+        "ablation_threshold",
+        &["ablation_a2_thresholds"],
+        |jobs, out| ablations::run_thresholds(7.0, 300, 42, jobs, out),
+    );
+}
+
+#[test]
+fn staleness_artifacts_are_jobs_invariant() {
+    assert_invariant("staleness", &["ablation_a9_staleness"], |jobs, out| {
+        staleness::run(8.0, 300, 42, jobs, out)
     });
 }

@@ -9,19 +9,19 @@
 //!   tasks, one-shot migration),
 //! * [`world`] — the event loop: arrivals, flood/unicast delivery with
 //!   per-hop latency, timers, queue-drain threshold crossings, attacks,
-//! * [`metrics`] — the Figure 5–8 quantities,
-//! * [`sweep`] — paired parallel λ sweeps and figure-table rendering.
+//! * [`metrics`] — the Figure 5–8 quantities and the λ × protocol
+//!   [`Figure`] tables that plot them.
+//!
+//! Sweeps over many scenarios run on the grid runner (`realtor-runner`).
 
 #![warn(missing_docs)]
 
 pub mod config;
 pub mod metrics;
-pub mod sweep;
 pub mod world;
 
 pub use config::{AdversaryConfig, ChaosConfig, CostChoice, RecoveryConfig, Scenario};
-pub use metrics::{SimResult, WindowStat};
-pub use sweep::{run_replicated_sweep, run_sweep, FigureMetric, ReplicatedSweep, Sweep};
+pub use metrics::{figure_table, Figure, SimResult, WindowStat};
 pub use world::{
     run_scenario, run_scenario_profiled, run_scenario_traced, run_scenario_traced_profiled,
     run_scenario_with, RunProfile, World,

@@ -1,6 +1,9 @@
-//! Run-level metrics — the quantities plotted in the paper's Figures 5–8.
+//! Run-level metrics — the quantities plotted in the paper's Figures 5–8 —
+//! and the [`Figure`] tables that plot them against λ.
 
+use realtor_core::ProtocolKind;
 use realtor_net::MessageLedger;
+use realtor_simcore::table::{Cell, Table};
 use realtor_simcore::SimTime;
 
 /// Admission statistics over one time window (attack experiment).
@@ -266,6 +269,88 @@ impl SimResult {
         assert!(self.detection_latency_sum >= 0.0);
         assert!(self.detection_latency_max <= self.detection_latency_sum + 1e-9);
     }
+}
+
+/// The paper's four simulation figures, each one [`SimResult`] metric
+/// plotted against the arrival rate λ for every protocol.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Figure {
+    /// Figure 5: admission probability.
+    Fig5,
+    /// Figure 6: total message cost.
+    Fig6,
+    /// Figure 7: message cost per admitted task.
+    Fig7,
+    /// Figure 8: migrations per admitted task.
+    Fig8,
+}
+
+impl Figure {
+    /// All four figures, in paper order.
+    pub const ALL: [Figure; 4] = [Figure::Fig5, Figure::Fig6, Figure::Fig7, Figure::Fig8];
+
+    /// This figure's metric of one run.
+    pub fn extract(self, r: &SimResult) -> f64 {
+        match self {
+            Figure::Fig5 => r.admission_probability(),
+            Figure::Fig6 => r.total_messages(),
+            Figure::Fig7 => r.cost_per_admitted_task(),
+            Figure::Fig8 => r.migration_rate(),
+        }
+    }
+
+    /// The metric's axis label.
+    pub fn label(self) -> &'static str {
+        match self {
+            Figure::Fig5 => "admission-probability",
+            Figure::Fig6 => "number-of-messages",
+            Figure::Fig7 => "message-cost-per-task",
+            Figure::Fig8 => "migration-rate",
+        }
+    }
+
+    /// The figure's title.
+    pub fn title(self) -> &'static str {
+        match self {
+            Figure::Fig5 => "Figure 5 — Admission probability",
+            Figure::Fig6 => "Figure 6 — Number of messages exchanged",
+            Figure::Fig7 => "Figure 7 — Communication cost per admitted task",
+            Figure::Fig8 => "Figure 8 — Migration rate",
+        }
+    }
+
+    /// The stem of the figure's CSV artifact.
+    pub fn file_stem(self) -> &'static str {
+        match self {
+            Figure::Fig5 => "fig5_admission_probability",
+            Figure::Fig6 => "fig6_number_of_messages",
+            Figure::Fig7 => "fig7_cost_per_admitted_task",
+            Figure::Fig8 => "fig8_migration_rate",
+        }
+    }
+
+    /// This figure's table from a paired sweep's results, ordered as in
+    /// [`figure_table`].
+    pub fn table(self, title: &str, lambdas: &[f64], results: &[SimResult]) -> Table {
+        figure_table(title, lambdas, |i| Cell::Float(self.extract(&results[i])))
+    }
+}
+
+/// A figure table over a paired sweep of every protocol (legend order) at
+/// every λ: one row per λ, a `lambda` column, then one column per
+/// protocol. The sweep's points are protocol-major: protocol `p` at
+/// `lambdas[l]` is point `p * lambdas.len() + l`, and `cell(i)` fills the
+/// cell of point `i`.
+pub fn figure_table(title: &str, lambdas: &[f64], cell: impl Fn(usize) -> Cell) -> Table {
+    let mut columns = vec!["lambda"];
+    columns.extend(ProtocolKind::ALL.iter().map(|p| p.label()));
+    let mut table = Table::new(title, &columns);
+    for (l, &lambda) in lambdas.iter().enumerate() {
+        let mut row = vec![Cell::Float(lambda)];
+        row.extend((0..ProtocolKind::ALL.len()).map(|p| cell(p * lambdas.len() + l)));
+        table.push_row(row);
+    }
+    table
 }
 
 #[cfg(test)]

@@ -23,6 +23,8 @@
 //!   worker count (the sweep runner's execution core),
 //! * [`merge`] — grid-order streamed merging of per-cell CSV/JSONL chunks,
 //! * [`plot`] — terminal ASCII line plots for the reproduced figures,
+//! * [`json`] — the one JSON reader (no serde): RFC 8259 values parsed
+//!   into a [`json::JsonValue`] tree, used to check and analyze traces,
 //! * [`trace`] — deterministic structured tracing ([`Tracer`], typed
 //!   [`trace::TraceEvent`]s, JSON-lines export) and the named counter/gauge
 //!   registry; a no-op sink when disabled so golden runs stay bit-exact.
@@ -58,6 +60,7 @@
 pub mod check;
 pub mod engine;
 pub mod event;
+pub mod json;
 pub mod merge;
 pub mod metrics;
 pub mod plot;

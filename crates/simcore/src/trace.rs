@@ -17,8 +17,8 @@
 //!   compare and are never materialized.
 //! * **Exportable.** [`TraceEvent::to_json_line`] renders one hand-rolled
 //!   JSON object per event (the workspace has no serde);
-//!   [`validate_json_line`] is the matching in-tree checker used by the CI
-//!   trace smoke.
+//!   [`validate_json_line`] checks it with the in-tree JSON reader
+//!   ([`crate::json`]) in tests and the CI trace smoke.
 //!
 //! The same handle carries the [`registry::CounterRegistry`] of named
 //! monotonic counters and gauges. The simulator bumps a counter at exactly
@@ -1097,181 +1097,10 @@ pub mod registry {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Minimal JSON validator (no serde in the workspace): enough of RFC 8259 to
-// check that every exported line parses as exactly one value. Used by the
-// `experiments trace` subcommand and the CI trace smoke.
-// ---------------------------------------------------------------------------
-
-/// Validate that `line` is exactly one well-formed JSON value.
+/// Validate that `line` is exactly one well-formed JSON value: parse it
+/// with the workspace's JSON reader ([`crate::json`]) and discard it.
 pub fn validate_json_line(line: &str) -> Result<(), String> {
-    let bytes = line.as_bytes();
-    let mut pos = 0usize;
-    skip_ws(bytes, &mut pos);
-    parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing content at byte {pos}"));
-    }
-    Ok(())
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    match b.get(*pos) {
-        None => Err("unexpected end of input".to_string()),
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
-        Some(b'"') => parse_string(b, pos),
-        Some(b't') => parse_lit(b, pos, "true"),
-        Some(b'f') => parse_lit(b, pos, "false"),
-        Some(b'n') => parse_lit(b, pos, "null"),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(b, pos),
-        Some(c) => Err(format!("unexpected byte {c:#04x} at {pos}", pos = *pos)),
-    }
-}
-
-fn parse_lit(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
-    if b[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(())
-    } else {
-        Err(format!("invalid literal at byte {pos}", pos = *pos))
-    }
-}
-
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // '{'
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b'"') {
-            return Err(format!("expected object key at byte {pos}", pos = *pos));
-        }
-        parse_string(b, pos)?;
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b':') {
-            return Err(format!("expected ':' at byte {pos}", pos = *pos));
-        }
-        *pos += 1;
-        skip_ws(b, pos);
-        parse_value(b, pos)?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or '}}' at byte {pos}", pos = *pos)),
-        }
-    }
-}
-
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // '['
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(b, pos);
-        parse_value(b, pos)?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or ']' at byte {pos}", pos = *pos)),
-        }
-    }
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // opening '"'
-    while let Some(&c) = b.get(*pos) {
-        match c {
-            b'"' => {
-                *pos += 1;
-                return Ok(());
-            }
-            b'\\' => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => *pos += 1,
-                    Some(b'u') => {
-                        *pos += 1;
-                        for _ in 0..4 {
-                            match b.get(*pos) {
-                                Some(h) if h.is_ascii_hexdigit() => *pos += 1,
-                                _ => {
-                                    return Err(format!("bad \\u escape at byte {pos}", pos = *pos))
-                                }
-                            }
-                        }
-                    }
-                    _ => return Err(format!("bad escape at byte {pos}", pos = *pos)),
-                }
-            }
-            0x00..=0x1f => return Err(format!("raw control byte in string at {pos}", pos = *pos)),
-            _ => *pos += 1,
-        }
-    }
-    Err("unterminated string".to_string())
-}
-
-fn parse_number(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    let start = *pos;
-    if b.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    let int_digits = eat_digits(b, pos);
-    if int_digits == 0 {
-        return Err(format!("expected digits at byte {pos}", pos = *pos));
-    }
-    if b.get(*pos) == Some(&b'.') {
-        *pos += 1;
-        if eat_digits(b, pos) == 0 {
-            return Err(format!(
-                "expected fraction digits at byte {pos}",
-                pos = *pos
-            ));
-        }
-    }
-    if matches!(b.get(*pos), Some(b'e' | b'E')) {
-        *pos += 1;
-        if matches!(b.get(*pos), Some(b'+' | b'-')) {
-            *pos += 1;
-        }
-        if eat_digits(b, pos) == 0 {
-            return Err(format!(
-                "expected exponent digits at byte {pos}",
-                pos = *pos
-            ));
-        }
-    }
-    debug_assert!(*pos > start);
-    Ok(())
-}
-
-fn eat_digits(b: &[u8], pos: &mut usize) -> usize {
-    let start = *pos;
-    while matches!(b.get(*pos), Some(c) if c.is_ascii_digit()) {
-        *pos += 1;
-    }
-    *pos - start
+    crate::json::parse(line).map(|_| ())
 }
 
 #[cfg(test)]

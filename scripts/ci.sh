@@ -49,9 +49,10 @@
 #  11. analyze smoke: a traced failover cell -> results/trace_failover.jsonl,
 #      piped through `experiments analyze`; the causal report must show
 #      a recovery critical path and zero lineage-incomplete admissions
-#  12. println guard: library code in crates/core, crates/sim,
-#      crates/agile, crates/runner and crates/workload must go through
-#      the trace layer, never stdout/stderr
+#  12. println guard: library code in crates/simcore, crates/net,
+#      crates/node, crates/core, crates/sim, crates/agile, crates/runner
+#      and crates/workload must go through the trace layer, never
+#      stdout/stderr
 #  13. sweep smoke: the figures sweep at --jobs 1 and --jobs 2 must emit
 #      byte-identical CSV artifacts (the runner's determinism contract,
 #      end-to-end through the CLI), with wall-clock timings appended to
@@ -246,9 +247,10 @@ echo "$analysis" | awk '
 ' || { echo "analyze lineage check failed" >&2; exit 1; }
 echo "analyze smoke ok: critical path present, lineage complete"
 
-say "println guard (core/sim/agile/runner/workload library code must use the trace layer)"
+say "println guard (simcore/net/node/core/sim/agile/runner/workload library code must use the trace layer)"
 if grep -rn 'println!\|eprintln!\|dbg!' \
-        crates/core/src crates/sim/src crates/agile/src crates/runner/src crates/workload/src; then
+        crates/simcore/src crates/net/src crates/node/src crates/core/src crates/sim/src \
+        crates/agile/src crates/runner/src crates/workload/src; then
     echo "stray stdout/stderr in library code: route it through simcore::trace" >&2
     exit 1
 fi

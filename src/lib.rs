@@ -16,7 +16,7 @@
 //! | [`core`] | `realtor-core` | REALTOR + baselines, Algorithms H and P, communities |
 //! | [`node`] | `realtor-node` | tasks, work queues, EDF/CUS scheduling, admission |
 //! | [`workload`] | `realtor-workload` | arrival processes, size distributions, traces, attacks |
-//! | [`sim`] | `realtor-sim` | the Section-5 simulation harness and sweeps |
+//! | [`sim`] | `realtor-sim` | the Section-5 simulation harness and the Figure 5–8 tables |
 //! | [`runner`] | `realtor-runner` | deterministic parallel sweep runner (grids, CI-width replication) |
 //! | [`agile`] | `realtor-agile` | the Section-6 thread-per-host cluster runtime |
 //!

@@ -3,27 +3,54 @@
 
 use realtor::core::ProtocolKind;
 use realtor::net::Topology;
-use realtor::sim::{run_scenario, run_sweep, Scenario};
+use realtor::runner::{run_grid, GridCell, RunOpts, SeedPolicy, SweepGrid};
+use realtor::sim::{run_scenario, Scenario, SimResult};
 
 const HORIZON: u64 = 2_000;
 const SEED: u64 = 42;
+
+/// Every protocol at every λ on the grid runner, all at `seed` (the paper's
+/// paired comparison).
+fn paired_sweep(lambdas: &[f64], horizon: u64, seed: u64) -> Vec<(GridCell, SimResult)> {
+    let grid = SweepGrid::new(seed)
+        .with_protocols(&ProtocolKind::ALL)
+        .with_lambdas(lambdas)
+        .with_seed_policy(SeedPolicy::Shared);
+    let opts = RunOpts {
+        jobs: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        progress: false,
+    };
+    let results = run_grid(&grid, &opts, |cell| {
+        run_scenario(&Scenario::paper(
+            cell.protocol,
+            cell.lambda,
+            horizon,
+            cell.seed,
+        ))
+    });
+    grid.cells().into_iter().zip(results).collect()
+}
+
+/// One point of a [`paired_sweep`].
+fn at(sweep: &[(GridCell, SimResult)], protocol: ProtocolKind, lambda: f64) -> &SimResult {
+    let (_, r) = sweep
+        .iter()
+        .find(|(c, _)| c.protocol == protocol && c.lambda == lambda)
+        .expect("point in the sweep");
+    r
+}
 
 /// Claim 1 (effectiveness): under both normal and heavy load, REALTOR's
 /// admission probability is within a whisker of the best protocol.
 #[test]
 fn realtor_admission_is_top_tier() {
     for lambda in [3.0, 6.0, 9.0] {
-        let sweep = run_sweep(&ProtocolKind::ALL, &[lambda], |p, l| {
-            Scenario::paper(p, l, HORIZON, SEED)
-        });
+        let sweep = paired_sweep(&[lambda], HORIZON, SEED);
         let best = ProtocolKind::ALL
             .iter()
-            .map(|&p| sweep.get(p, lambda).unwrap().admission_probability())
+            .map(|&p| at(&sweep, p, lambda).admission_probability())
             .fold(0.0f64, f64::max);
-        let realtor = sweep
-            .get(ProtocolKind::Realtor, lambda)
-            .unwrap()
-            .admission_probability();
+        let realtor = at(&sweep, ProtocolKind::Realtor, lambda).admission_probability();
         assert!(
             realtor >= best - 0.02,
             "lambda={lambda}: REALTOR {realtor:.4} vs best {best:.4}"
@@ -37,35 +64,21 @@ fn realtor_admission_is_top_tier() {
 #[test]
 fn realtor_overhead_beats_pure_push() {
     let lambdas = [2.0, 6.0, 10.0];
-    let sweep = run_sweep(&ProtocolKind::ALL, &lambdas, |p, l| {
-        Scenario::paper(p, l, HORIZON, SEED)
-    });
+    let sweep = paired_sweep(&lambdas, HORIZON, SEED);
     for &lambda in &lambdas {
-        let push = sweep
-            .get(ProtocolKind::PurePush, lambda)
-            .unwrap()
-            .total_messages();
-        let realtor = sweep
-            .get(ProtocolKind::Realtor, lambda)
-            .unwrap()
-            .total_messages();
+        let push = at(&sweep, ProtocolKind::PurePush, lambda).total_messages();
+        let realtor = at(&sweep, ProtocolKind::Realtor, lambda).total_messages();
         assert!(
             realtor < push / 2.0,
             "lambda={lambda}: REALTOR {realtor} not well below Push-1 {push}"
         );
     }
     // Pure push: flat in load. Pure pull: grows with load.
-    let push_light = sweep.get(ProtocolKind::PurePush, 2.0).unwrap().ledger.push;
-    let push_heavy = sweep.get(ProtocolKind::PurePush, 10.0).unwrap().ledger.push;
+    let push_light = at(&sweep, ProtocolKind::PurePush, 2.0).ledger.push;
+    let push_heavy = at(&sweep, ProtocolKind::PurePush, 10.0).ledger.push;
     assert!((push_light - push_heavy).abs() / push_light < 0.01);
-    let pull_light = sweep
-        .get(ProtocolKind::PurePull, 2.0)
-        .unwrap()
-        .total_messages();
-    let pull_heavy = sweep
-        .get(ProtocolKind::PurePull, 10.0)
-        .unwrap()
-        .total_messages();
+    let pull_light = at(&sweep, ProtocolKind::PurePull, 2.0).total_messages();
+    let pull_heavy = at(&sweep, ProtocolKind::PurePull, 10.0).total_messages();
     assert!(
         pull_heavy > pull_light * 10.0,
         "pull cost must grow with load"
@@ -141,12 +154,10 @@ fn realtor_survives_attack_and_recovers() {
 /// The five protocols face the byte-identical workload (paired comparison).
 #[test]
 fn sweep_is_paired() {
-    let sweep = run_sweep(&ProtocolKind::ALL, &[5.0], |p, l| {
-        Scenario::paper(p, l, 500, 3)
-    });
+    let sweep = paired_sweep(&[5.0], 500, 3);
     let offered: Vec<u64> = ProtocolKind::ALL
         .iter()
-        .map(|&p| sweep.get(p, 5.0).unwrap().offered)
+        .map(|&p| at(&sweep, p, 5.0).offered)
         .collect();
     assert!(
         offered.windows(2).all(|w| w[0] == w[1]),
