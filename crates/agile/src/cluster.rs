@@ -87,7 +87,9 @@ pub enum HostExitStatus {
     Wedged,
 }
 
-/// Per-host exit record in the [`ClusterReport`].
+/// Per-host exit record in the [`ClusterReport`]: how the host ended,
+/// plus its slot's [`HostStats`] counts at shutdown, summed over every
+/// incarnation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HostExit {
     /// Host id.
@@ -96,6 +98,15 @@ pub struct HostExit {
     pub status: HostExitStatus,
     /// Amnesiac restarts the supervisor performed for this host.
     pub restarts: u64,
+    /// Tasks admitted at this host on arrival ([`HostStats::admitted_local`]).
+    pub admitted_local: u64,
+    /// Interrupted tasks re-admitted here ([`HostStats::recovered_in`]).
+    pub recovered_in: u64,
+    /// Queued tasks interrupted by this host's deaths
+    /// ([`HostStats::interrupted`]).
+    pub interrupted: u64,
+    /// Kills aimed at this host ([`HostStats::kills`]).
+    pub kills: u64,
 }
 
 /// Aggregated cluster statistics.
@@ -396,7 +407,6 @@ fn supervise(inner: &ClusterInner, stop: &AtomicBool) {
                         TraceKind::NodeRestore,
                         &[("epoch", TraceValue::U64(epoch))],
                     );
-                    inner.tracer.count_node("node_restarts", id, 1);
                 }
             }
         }
@@ -687,7 +697,7 @@ impl Cluster {
             TraceKind::NodeKill,
             &[("style", TraceValue::Str("cooperative"))],
         );
-        self.inner.tracer.count_node("node_kills", host, 1);
+        self.inner.slots[host].stats.kills.fetch_add(1, Relaxed);
         self.send_control(host, HostControl::Kill);
     }
 
@@ -712,7 +722,7 @@ impl Cluster {
             TraceKind::NodeKill,
             &[("style", TraceValue::Str("crash"))],
         );
-        self.inner.tracer.count_node("node_kills", host, 1);
+        self.inner.slots[host].stats.kills.fetch_add(1, Relaxed);
         self.send_control(host, HostControl::Crash);
     }
 
@@ -860,10 +870,15 @@ impl Cluster {
                     &inner.recovery,
                 );
             }
+            let s = &slot.stats;
             host_exits.push(HostExit {
                 host: id,
                 status,
                 restarts: slot.restarts.load(Relaxed),
+                admitted_local: s.admitted_local.load(Relaxed),
+                recovered_in: s.recovered_in.load(Relaxed),
+                interrupted: s.interrupted.load(Relaxed),
+                kills: s.kills.load(Relaxed),
             });
         }
         // Recovery ends with the run: whatever is still queued is destroyed,
@@ -882,9 +897,6 @@ impl Cluster {
                 TraceKind::TaskDestroy,
                 &[("component", TraceValue::U64(item.component.id.0))],
             );
-            inner
-                .tracer
-                .count_node("runtime_destroyed", item.from_host, 1);
         }
         let mut report = ClusterReport {
             datagrams_dropped: inner.network.dropped_count(),

@@ -150,6 +150,10 @@ pub struct HostStats {
     pub lost_to_attacks: AtomicU64,
     /// Queued tasks interrupted by this host's death.
     pub interrupted: AtomicU64,
+    /// Interrupted tasks from other hosts re-admitted here by recovery.
+    pub recovered_in: AtomicU64,
+    /// Kills (cooperative or crash) aimed at this host.
+    pub kills: AtomicU64,
     /// Negotiation attempts retried after a transient failure.
     pub negotiation_retries: AtomicU64,
     /// Negotiations abandoned because the deadline budget could not cover
@@ -322,7 +326,6 @@ impl Host {
         let ac_stats = Arc::clone(&stats);
         let ac_dead = Arc::clone(&dead);
         let ac_naming = naming.clone();
-        let ac_tracer = tracer.clone();
         let ac_clock = clock;
         let admission_thread = std::thread::Builder::new()
             .name(format!("agile-ac-{id}"))
@@ -376,10 +379,10 @@ impl Host {
                     if req.recovery {
                         // Recovery re-admission: the task was already
                         // counted at its original admission, so only the
-                        // per-host trace counter moves (the cluster
-                        // ledger's `recovered` is settled by the
-                        // supervisor when the reply lands).
-                        ac_tracer.count_node("runtime_recovered_in", id, 1);
+                        // per-host count moves (the cluster ledger's
+                        // `recovered` is settled by the supervisor when
+                        // the reply lands).
+                        ac_stats.recovered_in.fetch_add(1, Ordering::Relaxed);
                     } else {
                         ac_stats.admitted_migrated.fetch_add(1, Ordering::Relaxed);
                     }
@@ -650,7 +653,6 @@ impl HostDriver {
 
         if admitted_drain.is_some() {
             self.stats.admitted_local.fetch_add(1, Ordering::Relaxed);
-            self.tracer.count_node("runtime_admitted", self.id, 1);
             self.naming.register(id, self.id);
             self.record_admission_latency(submit_started);
             self.usage_change(now);

@@ -139,7 +139,6 @@ pub fn file_interrupts(
                 ),
             ],
         );
-        tracer.count_node("runtime_interrupted", item.from_host, 1);
         q.push(item);
     }
 }
@@ -237,7 +236,6 @@ pub fn recover_item(
                 ),
             ],
         );
-        tracer.count_node("runtime_recovered", item.from_host, 1);
     } else {
         ledger.destroyed.fetch_add(1, Relaxed);
         naming.unregister(id);
@@ -255,7 +253,6 @@ pub fn recover_item(
                 ),
             ],
         );
-        tracer.count_node("runtime_destroyed", item.from_host, 1);
     }
     recovered
 }

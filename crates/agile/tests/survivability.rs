@@ -2,10 +2,10 @@
 //! faults disabled, the ledger identity under scripted kill/restore
 //! schedules, supervised crash/wedge recovery, and bounded shutdown.
 
-use realtor_agile::fault::run_faults;
+use realtor_agile::fault::{run_faults, FaultOp};
 use realtor_agile::{
-    Cluster, ClusterConfig, ClusterReport, FaultPlan, FaultStyle, HostExitStatus, SubmitOutcome,
-    SupervisorConfig,
+    Cluster, ClusterConfig, ClusterReport, FaultPlan, FaultStyle, HostExit, HostExitStatus,
+    SubmitOutcome, SupervisorConfig,
 };
 use realtor_simcore::prelude::*;
 use realtor_simcore::{prop_assert, prop_assert_eq};
@@ -152,6 +152,59 @@ fn kill_restore_schedules_preserve_the_ledger() {
             Ok(())
         },
     );
+}
+
+/// The per-host counts carried on `HostExit` add up to the cluster ledger
+/// on a crash-wave run, and each host counts exactly the kills the fault
+/// plan aimed at it.
+#[test]
+fn per_host_counts_sum_to_the_ledger_under_a_crash_wave() {
+    let hosts = 4;
+    let seed = 23;
+    let cluster = Cluster::start(&ClusterConfig {
+        hosts,
+        time_scale: 1_000.0,
+        seed,
+        supervisor: SupervisorConfig {
+            poll: Duration::from_millis(1),
+            ..Default::default()
+        },
+        ..Default::default()
+    });
+    // 40 s of resident work per host (capacity 50, 40 ms of wall time at
+    // this scale), still queued when the wave lands one second later.
+    for i in 0..2 * hosts {
+        assert_eq!(
+            cluster.submit_sync(i % hosts, 20.0, Duration::from_secs(5)),
+            SubmitOutcome::AdmittedLocal
+        );
+    }
+    let strike = cluster.clock().now() + SimDuration::from_secs(1);
+    // Crash-style replay ignores the restore; the supervisor revives.
+    let scenario =
+        AttackScenario::strike_and_recover(strike, strike + SimDuration::from_secs(1), 2);
+    let plan = FaultPlan::from_attack(&scenario, hosts, seed);
+    run_faults(&cluster, &plan, FaultStyle::Crash);
+    drain(&cluster);
+    let report = cluster.shutdown();
+    report.validate().expect("identities hold");
+    assert!(
+        report.interrupted > 0,
+        "the wave must interrupt resident work"
+    );
+
+    let sum = |f: fn(&HostExit) -> u64| report.host_exits.iter().map(f).sum::<u64>();
+    assert_eq!(sum(|e| e.admitted_local), report.admitted_local);
+    assert_eq!(sum(|e| e.interrupted), report.interrupted);
+    let mut planned = vec![0u64; hosts];
+    for c in &plan.commands {
+        if let FaultOp::Kill(h) = c.op {
+            planned[h] += 1;
+        }
+    }
+    assert_eq!(planned.iter().sum::<u64>(), 2, "the plan strikes two hosts");
+    let kills: Vec<u64> = report.host_exits.iter().map(|e| e.kills).collect();
+    assert_eq!(kills, planned);
 }
 
 /// A crashed host thread is detected by the supervisor, its resident work

@@ -10,8 +10,10 @@
 //! Results go two places: a human-readable table on stdout, and one JSON
 //! object per line appended to a results file (default
 //! `results/bench.jsonl`, overridable via the `BENCH_OUT` env var) so runs
-//! can be diffed across commits. `BENCH_SAMPLES` overrides the per-group
-//! sample count for quick smoke runs.
+//! can be diffed across commits. A set `BENCH_SAMPLES` (a positive
+//! integer) overrides every sample count, including the ones a bench picks
+//! with [`Runner::with_samples`] or [`Group::sample_size`], for quick smoke
+//! runs.
 
 use std::fs;
 use std::hint::black_box;
@@ -77,6 +79,8 @@ fn escape(s: &str) -> String {
 /// Top-level runner: owns the collected records and the output path.
 pub struct Runner {
     samples: usize,
+    /// `BENCH_SAMPLES`, when set: wins over every other sample count.
+    forced_samples: Option<usize>,
     warmup: usize,
     out: PathBuf,
     records: Vec<Record>,
@@ -86,18 +90,20 @@ impl Runner {
     /// A runner configured from the environment (`BENCH_SAMPLES`,
     /// `BENCH_OUT`), falling back to the defaults above.
     pub fn from_env() -> Self {
-        let samples = std::env::var("BENCH_SAMPLES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(DEFAULT_SAMPLES);
-        let out = std::env::var("BENCH_OUT")
-            .map(PathBuf::from)
-            .unwrap_or_else(|_| PathBuf::from("results/bench.jsonl"));
+        Self::from_vars(
+            std::env::var("BENCH_SAMPLES").ok().as_deref(),
+            std::env::var("BENCH_OUT").ok(),
+        )
+    }
+
+    /// [`Runner::from_env`] given the two variables' values. A sample
+    /// count that is not a positive integer is ignored.
+    fn from_vars(samples: Option<&str>, out: Option<String>) -> Self {
         Runner {
-            samples,
+            samples: DEFAULT_SAMPLES,
+            forced_samples: samples.and_then(|v| v.parse().ok()).filter(|&n| n > 0),
             warmup: DEFAULT_WARMUP,
-            out,
+            out: out.map_or_else(|| PathBuf::from("results/bench.jsonl"), PathBuf::from),
             records: Vec::new(),
         }
     }
@@ -108,7 +114,8 @@ impl Runner {
         self
     }
 
-    /// Override the per-benchmark sample count.
+    /// Override the per-benchmark sample count (a set `BENCH_SAMPLES`
+    /// still wins).
     pub fn with_samples(mut self, samples: usize) -> Self {
         assert!(samples > 0);
         self.samples = samples;
@@ -167,7 +174,8 @@ pub struct Group<'a> {
 
 impl Group<'_> {
     /// Override the sample count for this group (kept for parity with the
-    /// Criterion API the benches were ported from).
+    /// Criterion API the benches were ported from); a set `BENCH_SAMPLES`
+    /// still wins.
     pub fn sample_size(&mut self, n: usize) {
         assert!(n > 0);
         self.samples_override = Some(n);
@@ -179,7 +187,11 @@ impl Group<'_> {
     /// cannot be optimized away.
     pub fn bench_function<T>(&mut self, name: impl AsRef<str>, mut body: impl FnMut() -> T) {
         let name = name.as_ref();
-        let samples = self.samples_override.unwrap_or(self.runner.samples);
+        let samples = self
+            .runner
+            .forced_samples
+            .or(self.samples_override)
+            .unwrap_or(self.runner.samples);
         let warmup = self.runner.warmup;
 
         // Calibrate: time one iteration, then pick a batch size that makes
@@ -257,7 +269,7 @@ mod tests {
         let tmp =
             std::env::temp_dir().join(format!("bench_runner_test_{}.jsonl", std::process::id()));
         let _ = fs::remove_file(&tmp);
-        let mut runner = Runner::from_env().with_out(&tmp).with_samples(3);
+        let mut runner = Runner::from_vars(None, None).with_out(&tmp).with_samples(3);
         {
             let mut g = runner.group("unit/test");
             g.bench_function("noop", || 1 + 1);
@@ -283,13 +295,34 @@ mod tests {
 
     #[test]
     fn sample_size_override() {
-        let mut runner = Runner::from_env().with_samples(5).with_out("/dev/null");
+        let mut runner = Runner::from_vars(None, None)
+            .with_samples(5)
+            .with_out("/dev/null");
         {
             let mut g = runner.group("unit/override");
             g.sample_size(2);
             g.bench_function("noop", || ());
         }
         assert_eq!(runner.records()[0].samples, 2);
+    }
+
+    #[test]
+    fn bench_samples_wins_over_the_bench_own_counts() {
+        let mut runner = Runner::from_vars(Some("4"), Some("/dev/null".into())).with_samples(5);
+        {
+            let mut g = runner.group("unit/forced");
+            g.bench_function("runner_count", || ());
+            g.sample_size(2);
+            g.bench_function("group_count", || ());
+        }
+        let samples: Vec<usize> = runner.records().iter().map(|r| r.samples).collect();
+        assert_eq!(samples, [4, 4]);
+        // A value that is not a positive integer is ignored.
+        for bad in ["0", "x", ""] {
+            let mut runner = Runner::from_vars(Some(bad), Some("/dev/null".into()));
+            runner.group("unit/ignored").bench_function("noop", || ());
+            assert_eq!(runner.records()[0].samples, DEFAULT_SAMPLES, "{bad:?}");
+        }
     }
 
     #[test]

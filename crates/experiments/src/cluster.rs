@@ -343,10 +343,9 @@ fn drive(
     }
     emit(out, "cluster_survivability", &summary);
 
-    // Per-host counters from the A14 registry + exit statuses.
-    let snap = tracer.snapshot();
+    // Per-host counts and exit statuses, as the cluster reports them.
     let mut per_host = Table::new(
-        "Cluster survivability (A18) — per-host counters (A14 registry)",
+        "Cluster survivability (A18) — per-host counters and exit status",
         &[
             "host",
             "admitted",
@@ -361,10 +360,10 @@ fn drive(
     for e in &report.host_exits {
         per_host.push_row(vec![
             Cell::Int(e.host as i64),
-            Cell::Int(snap.registry.node_counter("runtime_admitted", e.host) as i64),
-            Cell::Int(snap.registry.node_counter("runtime_recovered_in", e.host) as i64),
-            Cell::Int(snap.registry.node_counter("runtime_interrupted", e.host) as i64),
-            Cell::Int(snap.registry.node_counter("node_kills", e.host) as i64),
+            Cell::Int(e.admitted_local as i64),
+            Cell::Int(e.recovered_in as i64),
+            Cell::Int(e.interrupted as i64),
+            Cell::Int(e.kills as i64),
             Cell::Int(e.restarts as i64),
             Cell::Int(report.mailbox_high_water[e.host] as i64),
             Cell::Str(format!("{:?}", e.status)),

@@ -26,8 +26,8 @@
 //!   staleness                   A9: candidate-info staleness bound
 //!   dynamics                    A10: Algorithm H interval evolution (plot)
 //!   deadlines                   A11: EDF vs FIFO deadline-miss rate
-//!   trace                       A14: traced run -> JSONL event log + registry
-//!                               reconciliation (--scenario paper|lossy|failover)
+//!   trace                       A14: traced run -> JSONL event log + tracing
+//!                               on == off check (--scenario paper|lossy|failover)
 //!   analyze                     A19: causal analysis of any trace JSONL —
 //!                               per-phase latency, recovery critical path,
 //!                               messages per admitted task, flame self-time

@@ -107,9 +107,9 @@ impl RecoveryConfig {
 }
 
 /// The adaptive adversary: a recurring strike that ranks nodes by traffic
-/// it has *observed* (per-node PLEDGE/HELP send counters from the trace
-/// registry) and kills the busiest — no oracle access to queue contents or
-/// organizer state. Killed nodes come back amnesiac after `downtime`.
+/// it has *observed* (the world's per-node count of PLEDGE and HELP
+/// messages sent) and kills the busiest — no oracle access to queue
+/// contents or organizer state. Killed nodes come back amnesiac after `downtime`.
 ///
 /// Observed traffic is exactly what a network eavesdropper sees, so the
 /// adversary's information model is realistic: against REALTOR it

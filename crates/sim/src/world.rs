@@ -350,13 +350,11 @@ impl World {
             match sampled {
                 Sampled::Lost => {
                     self.result.ledger.count_lost();
-                    self.tracer.count("channel_lost", 1);
                 }
                 Sampled::Delivered {
                     duplicate: Some(_), ..
                 } => {
                     self.result.ledger.count_duplicated();
-                    self.tracer.count("channel_duplicated", 1);
                 }
                 Sampled::Delivered { .. } => {}
             }
@@ -414,7 +412,6 @@ impl World {
     fn note_partition_drop(&mut self, now: SimTime) {
         if self.fault.has_partition() && self.counting(now) {
             self.result.ledger.count_partition_dropped();
-            self.tracer.count("partition_dropped", 1);
         }
     }
 
@@ -458,18 +455,13 @@ impl World {
                         match msg {
                             Message::Help(_) => {
                                 self.result.ledger.charge_help(c);
-                                self.tracer.count("msg_help", 1);
-                                self.tracer.count_node("sent_help", node, 1);
                                 self.sent_traffic[node] += 1;
                             }
                             Message::Advert(_) => {
                                 self.result.ledger.charge_push(c);
-                                self.tracer.count("msg_push", 1);
                             }
                             Message::Pledge(_) => {
                                 self.result.ledger.charge_pledge(c);
-                                self.tracer.count("msg_pledge", 1);
-                                self.tracer.count_node("sent_pledge", node, 1);
                                 self.sent_traffic[node] += 1;
                             }
                         }
@@ -540,18 +532,13 @@ impl World {
                         match msg {
                             Message::Pledge(_) => {
                                 self.result.ledger.charge_pledge(c);
-                                self.tracer.count("msg_pledge", 1);
-                                self.tracer.count_node("sent_pledge", node, 1);
                                 self.sent_traffic[node] += 1;
                             }
                             Message::Advert(_) => {
                                 self.result.ledger.charge_push(c);
-                                self.tracer.count("msg_push", 1);
                             }
                             Message::Help(_) => {
                                 self.result.ledger.charge_help(c);
-                                self.tracer.count("msg_help", 1);
-                                self.tracer.count_node("sent_help", node, 1);
                                 self.sent_traffic[node] += 1;
                             }
                         }
@@ -618,7 +605,6 @@ impl World {
         if self.counting(now) {
             self.result.offered += 1;
             self.current_window.offered += 1;
-            self.tracer.count("offered", 1);
         }
     }
 
@@ -626,10 +612,8 @@ impl World {
         if self.counting(now) {
             if migrated {
                 self.result.admitted_migrated += 1;
-                self.tracer.count("admitted_migrated", 1);
             } else {
                 self.result.admitted_local += 1;
-                self.tracer.count("admitted_local", 1);
             }
             self.current_window.admitted += 1;
         }
@@ -638,10 +622,8 @@ impl World {
     fn record_rejected(&mut self, now: SimTime, dead_node: bool) {
         if self.counting(now) {
             self.result.rejected += 1;
-            self.tracer.count("rejected", 1);
             if dead_node {
                 self.result.lost_to_attacks += 1;
-                self.tracer.count("lost_to_attacks", 1);
             }
         }
     }
@@ -667,9 +649,6 @@ impl World {
                     ],
                 );
             }
-            // The gauge is exposition state, not an event: it must track the
-            // peak even when the Debug-severity watermark event is filtered.
-            self.tracer.gauge_max("queue_backlog_high_water_secs", hw);
         }
     }
 
@@ -701,7 +680,6 @@ impl World {
         self.record_offered(now);
         if self.counting(now) {
             self.result.node_stats[node].offered += 1;
-            self.tracer.count_node("offered", node, 1);
         }
 
         if !self.fault.is_alive(node) {
@@ -749,7 +727,6 @@ impl World {
             self.record_admitted(now, false);
             if self.counting(now) {
                 self.result.node_stats[node].admitted_here += 1;
-                self.tracer.count_node("admitted_here", node, 1);
             }
             self.tracer.emit_spanned(
                 now,
@@ -786,7 +763,6 @@ impl World {
         let counted = self.counting(now);
         if counted {
             self.result.migration_attempts += 1;
-            self.tracer.count("migration_attempts", 1);
         }
         let attempt = self.next_attempt;
         self.next_attempt += 1;
@@ -830,7 +806,6 @@ impl World {
             let routing = self.fault.routing(&self.topology);
             let c = self.cost.negotiation_cost(routing, a.src, a.dst);
             self.result.ledger.charge_migration(c);
-            self.tracer.count("msg_migration", 1);
         }
         let reachable = {
             let routing = self.fault.routing(&self.topology);
@@ -884,7 +859,6 @@ impl World {
                     self.log_admit(a.dst, a.size_secs, now, a.lineage);
                     if a.counted && matches!(a.kind, AttemptKind::Arrival) {
                         self.result.node_stats[a.dst].admitted_here += 1;
-                        self.tracer.count_node("admitted_here", a.dst, 1);
                     }
                     self.tracer.emit_spanned(
                         now,
@@ -991,13 +965,10 @@ impl World {
                         self.result.migration_successes += 1;
                         self.result.admitted_migrated += 1;
                         self.current_window.admitted += 1;
-                        self.tracer.count("migration_successes", 1);
-                        self.tracer.count("admitted_migrated", 1);
                     }
                 } else {
                     if a.counted {
                         self.result.rejected += 1;
-                        self.tracer.count("rejected", 1);
                     }
                     // Terminal task-span event: without it a refused
                     // arrival's journey would end on the attempt span and
@@ -1021,7 +992,6 @@ impl World {
                     if a.counted {
                         self.result.tasks_recovered += 1;
                         self.result.work_recovered += a.size_secs;
-                        self.tracer.count("tasks_recovered", 1);
                     }
                     self.tracer.emit_spanned(
                         now,
@@ -1048,7 +1018,6 @@ impl World {
                         if a.counted {
                             self.result.tasks_destroyed += 1;
                             self.result.work_destroyed += a.size_secs;
-                            self.tracer.count("tasks_destroyed", 1);
                         }
                         self.tracer.emit_spanned(
                             now,
@@ -1082,7 +1051,6 @@ impl World {
                         if a.counted {
                             self.result.evacuation_successes += 1;
                             self.result.work_evacuated += remaining;
-                            self.tracer.count("evacuation_successes", 1);
                         }
                     } else {
                         // Refused: the task stays and keeps executing here.
@@ -1094,7 +1062,6 @@ impl World {
                     if a.counted {
                         self.result.tasks_recovered += 1;
                         self.result.work_recovered += a.size_secs;
-                        self.tracer.count("tasks_recovered", 1);
                     }
                     self.tracer.emit_spanned(
                         now,
@@ -1108,7 +1075,6 @@ impl World {
                     if a.counted {
                         self.result.tasks_destroyed += 1;
                         self.result.work_destroyed += a.size_secs;
-                        self.tracer.count("tasks_destroyed", 1);
                     }
                     self.tracer.emit_spanned(
                         now,
@@ -1269,7 +1235,6 @@ impl World {
                         *victim_crashed = true;
                         if a.counted {
                             self.result.tasks_interrupted += 1;
-                            self.tracer.count("tasks_interrupted", 1);
                         }
                     }
                 }
@@ -1280,11 +1245,6 @@ impl World {
                     split.recoverable.len() as u64 + split.destroyed_tasks;
                 self.result.tasks_destroyed += split.destroyed_tasks;
                 self.result.work_destroyed += split.destroyed_work;
-                self.tracer.count(
-                    "tasks_interrupted",
-                    split.recoverable.len() as u64 + split.destroyed_tasks,
-                );
-                self.tracer.count("tasks_destroyed", split.destroyed_tasks);
             }
             if self.tracer.is_enabled()
                 && (!split.recoverable.is_empty() || split.destroyed_tasks > 0)
@@ -1348,7 +1308,6 @@ impl World {
             // heals on the peer's next message.
             if self.counting(now) {
                 self.result.false_suspicions += 1;
-                self.tracer.count("false_suspicions", 1);
             }
             return;
         }
@@ -1356,7 +1315,6 @@ impl World {
             if self.counting(now) {
                 let latency = now.since(killed_at).as_secs_f64();
                 self.result.detections += 1;
-                self.tracer.count("detections", 1);
                 self.result.detection_latency_sum += latency;
                 self.result.detection_latency_max = self.result.detection_latency_max.max(latency);
             }
@@ -1392,7 +1350,6 @@ impl World {
             if counted {
                 self.result.tasks_recovered += 1;
                 self.result.work_recovered += size;
-                self.tracer.count("tasks_recovered", 1);
             }
             self.tracer.emit_spanned(
                 now,
@@ -1420,7 +1377,6 @@ impl World {
             if counted {
                 self.result.tasks_destroyed += 1;
                 self.result.work_destroyed += size;
-                self.tracer.count("tasks_destroyed", 1);
             }
             self.tracer.emit_spanned(
                 now,
@@ -1456,7 +1412,6 @@ impl World {
         };
         if counted {
             self.result.recovery_attempts += 1;
-            self.tracer.count("recovery_attempts", 1);
         }
         let attempt = self.next_attempt;
         self.next_attempt += 1;
@@ -1508,7 +1463,6 @@ impl World {
             };
             if counted {
                 self.result.evacuation_attempts += 1;
-                self.tracer.count("evacuation_attempts", 1);
             }
             let lineage = self.lineage_of(task_id);
             let attempt = self.next_attempt;
@@ -1757,7 +1711,6 @@ impl World {
             let set = self.orphans.remove(&node).expect("key just listed");
             if set.counted {
                 self.result.tasks_destroyed += set.tasks.len() as u64;
-                self.tracer.count("tasks_destroyed", set.tasks.len() as u64);
                 self.result.work_destroyed += set.tasks.iter().map(|&(_, s)| s).sum::<f64>();
             }
         }
@@ -1896,7 +1849,7 @@ fn run_world(world: &mut World, scenario: &Scenario) -> SimResult {
 /// protocol instance. With a disabled tracer this is exactly
 /// [`run_scenario`]; with an enabled one the simulation is unchanged
 /// bit-for-bit (tracing is strictly observational) and the caller can pull
-/// events and counters out of the tracer afterwards.
+/// the events out of the tracer afterwards.
 pub fn run_scenario_traced(scenario: &Scenario, tracer: Tracer) -> SimResult {
     let mut world = World::new(scenario);
     world.set_tracer(tracer);

@@ -1,17 +1,15 @@
-//! Satellite of the trace layer: the counter registry the world maintains
-//! while tracing must reconcile, name by name, with the `SimResult` the run
-//! returns — the counters are bumped beside the very same `result` field
-//! mutations, so any drift means an instrumentation site was missed.
+//! The trace export of a lossy, attacked, recovering run is valid JSON
+//! line by line, and the engine profile agrees with the `SimResult`.
 
 use realtor_core::{FailureDetectorConfig, ProtocolConfig, ProtocolKind};
 use realtor_net::{LinkQuality, TargetingStrategy};
-use realtor_sim::{run_scenario_traced, RecoveryConfig, Scenario, SimResult};
-use realtor_simcore::trace::{validate_json_line, TraceSnapshot, Tracer};
+use realtor_sim::{run_scenario_traced, RecoveryConfig, Scenario};
+use realtor_simcore::trace::{validate_json_line, Tracer};
 use realtor_simcore::{SimDuration, SimTime};
 use realtor_workload::AttackScenario;
 
-/// Lossy channel + warned strike + proactive recovery: every counter the
-/// world knows about moves in this run.
+/// Lossy channel + warned strike + proactive recovery: every part of the
+/// failure machinery emits events in this run.
 fn chaos() -> Scenario {
     let detector = FailureDetectorConfig {
         suspect_after: SimDuration::from_secs(4),
@@ -32,71 +30,15 @@ fn chaos() -> Scenario {
         .with_recovery(RecoveryConfig::proactive())
 }
 
-fn assert_counter(snap: &TraceSnapshot, name: &str, want: u64) {
-    assert_eq!(
-        snap.registry.counter(name),
-        want,
-        "registry counter {name} does not match SimResult"
-    );
-}
-
-#[test]
-fn registry_reconciles_with_sim_result() {
-    let scenario = chaos();
-    let tracer = Tracer::bounded(100_000);
-    let r: SimResult = run_scenario_traced(&scenario, tracer.clone());
-    let snap = tracer.snapshot();
-
-    // The scenario must actually exercise the failure machinery, or the
-    // reconciliation below would pass vacuously.
-    assert!(r.offered > 0);
-    assert!(r.tasks_interrupted > 0, "strike must interrupt tasks");
-    assert!(r.ledger.lost_count > 0, "lossy channel must drop messages");
-    assert!(r.detections > 0, "detector must confirm the outage");
-
-    assert_counter(&snap, "offered", r.offered);
-    assert_counter(&snap, "admitted_local", r.admitted_local);
-    assert_counter(&snap, "admitted_migrated", r.admitted_migrated);
-    assert_counter(&snap, "rejected", r.rejected);
-    assert_counter(&snap, "lost_to_attacks", r.lost_to_attacks);
-    assert_counter(&snap, "migration_attempts", r.migration_attempts);
-    assert_counter(&snap, "migration_successes", r.migration_successes);
-    assert_counter(&snap, "tasks_interrupted", r.tasks_interrupted);
-    assert_counter(&snap, "tasks_recovered", r.tasks_recovered);
-    assert_counter(&snap, "tasks_destroyed", r.tasks_destroyed);
-    assert_counter(&snap, "recovery_attempts", r.recovery_attempts);
-    assert_counter(&snap, "evacuation_attempts", r.evacuation_attempts);
-    assert_counter(&snap, "evacuation_successes", r.evacuation_successes);
-    assert_counter(&snap, "detections", r.detections);
-    assert_counter(&snap, "false_suspicions", r.false_suspicions);
-
-    // Message counters shadow the cost ledger's per-class counts.
-    assert_counter(&snap, "msg_help", r.ledger.help_count);
-    assert_counter(&snap, "msg_pledge", r.ledger.pledge_count);
-    assert_counter(&snap, "msg_push", r.ledger.push_count);
-    assert_counter(&snap, "msg_migration", r.ledger.migration_count);
-    assert_counter(&snap, "channel_lost", r.ledger.lost_count);
-    assert_counter(&snap, "channel_duplicated", r.ledger.duplicated_count);
-
-    // Per-node counters shadow the per-node stats.
-    for (node, stat) in r.node_stats.iter().enumerate() {
-        assert_eq!(
-            snap.registry.node_counter("offered", node),
-            stat.offered,
-            "node {node} offered"
-        );
-        assert_eq!(
-            snap.registry.node_counter("admitted_here", node),
-            stat.admitted_here,
-            "node {node} admitted_here"
-        );
-    }
-}
-
 #[test]
 fn exported_jsonl_is_valid_line_by_line() {
     let tracer = Tracer::bounded(100_000);
-    let _ = run_scenario_traced(&chaos(), tracer.clone());
+    let r = run_scenario_traced(&chaos(), tracer.clone());
+    // The run must exercise the failure machinery, or the export below
+    // would cover only the quiet paths.
+    assert!(r.tasks_interrupted > 0, "strike must interrupt tasks");
+    assert!(r.ledger.lost_count > 0, "lossy channel must drop messages");
+    assert!(r.detections > 0, "detector must confirm the outage");
     let jsonl = tracer.export_jsonl();
     let mut lines = 0usize;
     for line in jsonl.lines() {

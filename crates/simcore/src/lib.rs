@@ -26,8 +26,8 @@
 //! * [`json`] — the one JSON reader (no serde): RFC 8259 values parsed
 //!   into a [`json::JsonValue`] tree, used to check and analyze traces,
 //! * [`trace`] — deterministic structured tracing ([`Tracer`], typed
-//!   [`trace::TraceEvent`]s, JSON-lines export) and the named counter/gauge
-//!   registry; a no-op sink when disabled so golden runs stay bit-exact.
+//!   [`trace::TraceEvent`]s, JSON-lines export); a no-op sink when
+//!   disabled so golden runs stay bit-exact.
 //!
 //! The engine is deliberately minimal and fully deterministic: identical
 //! seeds produce identical event orders (FIFO tie-breaking at equal

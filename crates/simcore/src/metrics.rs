@@ -3,8 +3,8 @@
 //! text exposition format by a hand-rolled zero-dependency writer.
 //!
 //! The snapshot is the bridge between the in-process observability state
-//! (the A14 [`registry::CounterRegistry`] plus the A19 latency
-//! histograms) and anything outside the process: the threaded cluster
+//! (the live cluster's per-host counts and the A19 latency histograms)
+//! and anything outside the process: the threaded cluster
 //! periodically renders one to `results/cluster_metrics.prom`, and the CI
 //! smoke lints the output against the format rules.
 //!
@@ -19,7 +19,6 @@
 //!   `le="+Inf"` bucket, and the `<name>_sum` / `<name>_count` pair.
 
 use crate::stats::LogHistogram;
-use crate::trace::registry::CounterRegistry;
 
 /// One sample of a labelled series.
 #[derive(Debug, Clone)]
@@ -94,22 +93,6 @@ impl MetricsSnapshot {
             host,
             value: hist,
         });
-    }
-
-    /// Fold a whole [`CounterRegistry`] into the snapshot, prefixing every
-    /// metric name with `prefix`: global and per-node counters become
-    /// counter series (per-node ones labelled by host), gauges become
-    /// gauge series.
-    pub fn push_registry(&mut self, prefix: &str, reg: &CounterRegistry) {
-        for (name, v) in reg.counters() {
-            self.push_counter(&format!("{prefix}{name}"), None, v);
-        }
-        for (name, node, v) in reg.node_counters() {
-            self.push_counter(&format!("{prefix}{name}"), Some(node), v);
-        }
-        for (name, v) in reg.gauges() {
-            self.push_gauge(&format!("{prefix}{name}"), None, v);
-        }
     }
 
     /// True when nothing has been pushed.
@@ -308,24 +291,5 @@ mod tests {
         let text = snap.to_prometheus_text();
         assert!(text.contains("lat_ns_bucket{le=\"+Inf\"} 0\n"));
         assert!(text.contains("lat_ns_count 0\n"));
-    }
-
-    #[test]
-    fn registry_folds_into_snapshot() {
-        use crate::time::SimTime;
-        use crate::trace::{TraceKind, Tracer};
-        let t = Tracer::bounded(4);
-        t.count("offered", 5);
-        t.count_node("admitted", 1, 2);
-        t.gauge_max("hw", 9.0);
-        t.emit(SimTime::ZERO, None, TraceKind::TaskAdmit, &[]);
-        let reg = t.snapshot().registry;
-        let mut snap = MetricsSnapshot::new(0.0);
-        snap.push_registry("realtor_", &reg);
-        let text = snap.to_prometheus_text();
-        assert!(text.contains("# TYPE realtor_offered counter\n"));
-        assert!(text.contains("realtor_offered 5\n"));
-        assert!(text.contains("realtor_admitted{host=\"1\"} 2\n"));
-        assert!(text.contains("realtor_hw 9\n"));
     }
 }

@@ -1,4 +1,4 @@
-//! Deterministic structured tracing and the named-counter registry (A14).
+//! Deterministic structured tracing (A14).
 //!
 //! Every layer of the stack (protocol state machines, the simulated world,
 //! the host model) can emit typed [`TraceEvent`]s through a shared
@@ -8,7 +8,7 @@
 //!   every emit is an early return. Enabling tracing never touches an RNG
 //!   stream, the event queue, or any simulation state, so traced runs are
 //!   bit-for-bit identical to untraced runs (pinned by
-//!   `tests/trace_parity.rs`).
+//!   `crates/sim/tests/trace_parity.rs`).
 //! * **Bounded.** Events land in a ring buffer of fixed capacity; when it
 //!   overflows the oldest event is dropped and [`TraceSnapshot::dropped`]
 //!   accounts for it, so a long run can never exhaust memory.
@@ -20,15 +20,13 @@
 //!   [`validate_json_line`] checks it with the in-tree JSON reader
 //!   ([`crate::json`]) in tests and the CI trace smoke.
 //!
-//! The same handle carries the [`registry::CounterRegistry`] of named
-//! monotonic counters and gauges. The simulator bumps a counter at exactly
-//! the sites that mutate the corresponding `SimResult` field, so registry
-//! totals reconcile 1:1 against the run ledger
-//! (`tests/trace_reconciliation.rs`).
+//! Events are the tracer's only output. Counts live where the simulation
+//! keeps them: the run's `SimResult` and message ledger in `realtor-sim`,
+//! and the per-host `HostStats` in `realtor-agile`.
 //!
 //! The handle is cheaply cloneable (`Arc`) and `Send + Sync`: one tracer can
-//! observe all 25 protocol instances plus the world. The interior mutex is
-//! uncontended in the single-threaded simulator.
+//! observe all 25 protocol instances plus the world, or every host thread
+//! of the live cluster. Recording takes no lock (see `EventRing`).
 //!
 //! **Causal spans (A19).** Events may carry an optional `(span, parent)`
 //! link: a [`TaskLineage`] identifies one task's whole journey (its span id
@@ -41,8 +39,8 @@
 use crate::time::SimTime;
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Event severity, ordered `Debug < Info < Warn`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -401,14 +399,6 @@ pub struct TraceSnapshot {
     pub recorded: u64,
     /// Events rejected by the severity/kind filters.
     pub filtered: u64,
-    /// The counter/gauge registry.
-    pub registry: registry::CounterRegistry,
-}
-
-/// Mutex-protected leftovers: gauges and the counter-table overflow.
-/// Nothing on the per-event hot path touches this lock.
-struct TraceState {
-    registry: registry::CounterRegistry,
 }
 
 /// Lock-free bounded overwrite ring for trace events.
@@ -551,145 +541,9 @@ impl EventRing {
     }
 }
 
-/// Sentinel `node` code marking a slot in [`AtomicCounters`] as a global
-/// (not per-node) counter. No simulation addresses `usize::MAX` nodes.
-const GLOBAL_COUNTER: usize = usize::MAX;
-
-/// Lock-free open-addressed counter table, keyed by the *pointer* of the
-/// `&'static str` counter name plus a node code.
-///
-/// Counter bumps happen several times per simulator event, so they must
-/// not take the ring mutex. Pointer keying makes the probe a couple of
-/// relaxed loads plus one relaxed `fetch_add`; the same name reaching the
-/// table through two different literal addresses simply occupies two
-/// slots, and [`AtomicCounters::fold_into`] re-aggregates by string
-/// content, so duplicates are a space cost, never a correctness cost.
-/// A full table falls back to the mutex-protected registry.
-struct AtomicCounters {
-    /// `&'static str` data pointer of the name; 0 = empty slot.
-    keys: Box<[AtomicUsize]>,
-    /// Name length; 0 until the claimant publishes it (real names are
-    /// never empty), so readers skip half-claimed slots.
-    lens: Box<[AtomicUsize]>,
-    /// Node id, or [`GLOBAL_COUNTER`].
-    nodes: Box<[AtomicUsize]>,
-    /// The counter value.
-    vals: Box<[AtomicU64]>,
-}
-
-impl AtomicCounters {
-    /// Slot count; power of two so the probe mask is an AND. 4096 slots
-    /// comfortably hold every (name, node) pair even for chaos-scale
-    /// meshes (hundreds of nodes x a handful of per-node counters).
-    const SLOTS: usize = 4096;
-
-    fn new() -> Self {
-        AtomicCounters {
-            keys: (0..Self::SLOTS).map(|_| AtomicUsize::new(0)).collect(),
-            lens: (0..Self::SLOTS).map(|_| AtomicUsize::new(0)).collect(),
-            nodes: (0..Self::SLOTS).map(|_| AtomicUsize::new(0)).collect(),
-            vals: (0..Self::SLOTS).map(|_| AtomicU64::new(0)).collect(),
-        }
-    }
-
-    #[inline]
-    fn slot_of(ptr: usize, node: usize) -> usize {
-        // Fibonacci hashing over the pointer and node; pointers are at
-        // least byte-aligned into the binary's rodata so the low bits
-        // carry entropy after mixing.
-        (ptr ^ node.rotate_left(17)).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 52
-    }
-
-    /// Add `n` to `(name, node)`. Returns `false` when the table is full
-    /// and the caller must fall back to the locked registry.
-    fn bump(&self, name: &'static str, node: usize, n: u64) -> bool {
-        let ptr = name.as_ptr() as usize;
-        let mask = Self::SLOTS - 1;
-        let mut idx = Self::slot_of(ptr, node) & mask;
-        for _ in 0..Self::SLOTS {
-            let key = self.keys[idx].load(Ordering::Acquire);
-            if key == ptr && self.nodes[idx].load(Ordering::Relaxed) == node {
-                self.vals[idx].fetch_add(n, Ordering::Relaxed);
-                return true;
-            }
-            if key == 0 {
-                // Claim the slot; a lost race probes on (possibly creating
-                // a duplicate (name, node) slot — merged at read time).
-                if self.keys[idx]
-                    .compare_exchange(0, ptr, Ordering::AcqRel, Ordering::Acquire)
-                    .is_ok()
-                {
-                    self.nodes[idx].store(node, Ordering::Relaxed);
-                    self.lens[idx].store(name.len(), Ordering::Release);
-                    self.vals[idx].fetch_add(n, Ordering::Relaxed);
-                    return true;
-                }
-                if self.keys[idx].load(Ordering::Acquire) == ptr
-                    && self.nodes[idx].load(Ordering::Relaxed) == node
-                {
-                    self.vals[idx].fetch_add(n, Ordering::Relaxed);
-                    return true;
-                }
-            }
-            idx = (idx + 1) & mask;
-        }
-        false
-    }
-
-    /// Reconstruct the name of a published slot.
-    ///
-    /// SAFETY of the `unsafe` below: `keys[idx]`/`lens[idx]` only ever
-    /// hold the pointer and length of a `&'static str` passed to
-    /// [`AtomicCounters::bump`], published in that order (len last, with
-    /// release/acquire pairing), so a non-zero length proves both fields
-    /// describe one live `'static` string.
-    fn slot_name(&self, idx: usize) -> Option<&'static str> {
-        let key = self.keys[idx].load(Ordering::Acquire);
-        let len = self.lens[idx].load(Ordering::Acquire);
-        if key == 0 || len == 0 {
-            return None;
-        }
-        Some(unsafe {
-            std::str::from_utf8_unchecked(std::slice::from_raw_parts(key as *const u8, len))
-        })
-    }
-
-    /// Sum every published slot into `registry`, re-aggregating by string
-    /// content (duplicate pointer-keyed slots for one name merge here).
-    fn fold_into(&self, registry: &mut registry::CounterRegistry) {
-        for idx in 0..Self::SLOTS {
-            let Some(name) = self.slot_name(idx) else {
-                continue;
-            };
-            let val = self.vals[idx].load(Ordering::Relaxed);
-            if val == 0 {
-                continue;
-            }
-            match self.nodes[idx].load(Ordering::Relaxed) {
-                GLOBAL_COUNTER => registry.add(name, val),
-                node => registry.add_node(name, node, val),
-            }
-        }
-    }
-
-    /// Current value of `(name, node)` by string comparison (read path —
-    /// scans the table so it tolerates duplicate slots).
-    fn read(&self, name: &str, node: usize) -> u64 {
-        let mut total = 0;
-        for idx in 0..Self::SLOTS {
-            if self.slot_name(idx) == Some(name) && self.nodes[idx].load(Ordering::Relaxed) == node
-            {
-                total += self.vals[idx].load(Ordering::Relaxed);
-            }
-        }
-        total
-    }
-}
-
 /// Shared tracer core. The severity/kind filters and the filtered-event
-/// counter live in atomics *outside* the mutex: a filtered emit — the
-/// common case once a filter is set — costs two relaxed loads and one
-/// relaxed increment, never a lock.
+/// counter are atomics beside the ring: a filtered emit — the common case
+/// once a filter is set — costs two relaxed loads and one relaxed store.
 struct TraceShared {
     /// Minimum severity as `u32` (the `Severity` discriminant order).
     min_severity: AtomicU32,
@@ -697,12 +551,8 @@ struct TraceShared {
     kind_mask: AtomicU32,
     /// Events rejected by the filters.
     filtered: AtomicU64,
-    /// Lock-free monotonic counters (global and per-node).
-    counters: AtomicCounters,
     /// Lock-free bounded event ring.
     ring: EventRing,
-    /// Gauges and counter-table overflow, off the hot path.
-    state: Mutex<TraceState>,
 }
 
 /// A cloneable tracing handle; see the module docs.
@@ -735,11 +585,7 @@ impl Tracer {
                 min_severity: AtomicU32::new(Severity::Debug as u32),
                 kind_mask: AtomicU32::new(u32::MAX),
                 filtered: AtomicU64::new(0),
-                counters: AtomicCounters::new(),
                 ring: EventRing::new(capacity),
-                state: Mutex::new(TraceState {
-                    registry: registry::CounterRegistry::new(),
-                }),
             })),
         }
     }
@@ -849,120 +695,17 @@ impl Tracer {
         });
     }
 
-    /// Add `n` to the global monotonic counter `name`.
-    #[inline]
-    pub fn count(&self, name: &'static str, n: u64) {
-        if self.inner.is_some() {
-            self.count_slow(name, n);
-        }
-    }
-
-    #[inline(never)]
-    fn count_slow(&self, name: &'static str, n: u64) {
-        let Some(inner) = &self.inner else { return };
-        if !inner.counters.bump(name, GLOBAL_COUNTER, n) {
-            inner
-                .state
-                .lock()
-                .expect("trace lock")
-                .registry
-                .add(name, n);
-        }
-    }
-
-    /// Add `n` to the per-node monotonic counter `name`.
-    #[inline]
-    pub fn count_node(&self, name: &'static str, node: usize, n: u64) {
-        if self.inner.is_some() {
-            self.count_node_slow(name, node, n);
-        }
-    }
-
-    #[inline(never)]
-    fn count_node_slow(&self, name: &'static str, node: usize, n: u64) {
-        let Some(inner) = &self.inner else { return };
-        if !inner.counters.bump(name, node, n) {
-            inner
-                .state
-                .lock()
-                .expect("trace lock")
-                .registry
-                .add_node(name, node, n);
-        }
-    }
-
-    /// Set the gauge `name` to `value`.
-    pub fn gauge_set(&self, name: &'static str, value: f64) {
-        let Some(inner) = &self.inner else { return };
-        inner
-            .state
-            .lock()
-            .expect("trace lock")
-            .registry
-            .gauge_set(name, value);
-    }
-
-    /// Raise the gauge `name` to `value` if `value` exceeds it (high-water
-    /// semantics).
-    pub fn gauge_max(&self, name: &'static str, value: f64) {
-        let Some(inner) = &self.inner else { return };
-        inner
-            .state
-            .lock()
-            .expect("trace lock")
-            .registry
-            .gauge_max(name, value);
-    }
-
-    /// Current value of the global counter `name` (0 when disabled/absent).
-    pub fn counter(&self, name: &str) -> u64 {
-        match &self.inner {
-            None => 0,
-            Some(inner) => {
-                inner.counters.read(name, GLOBAL_COUNTER)
-                    + inner
-                        .state
-                        .lock()
-                        .expect("trace lock")
-                        .registry
-                        .counter(name)
-            }
-        }
-    }
-
-    /// Current value of the per-node counter `name` (0 when
-    /// disabled/absent).
-    pub fn node_counter(&self, name: &str, node: usize) -> u64 {
-        match &self.inner {
-            None => 0,
-            Some(inner) => {
-                inner.counters.read(name, node)
-                    + inner
-                        .state
-                        .lock()
-                        .expect("trace lock")
-                        .registry
-                        .node_counter(name, node)
-            }
-        }
-    }
-
     /// Copy out everything collected so far.
     pub fn snapshot(&self) -> TraceSnapshot {
         match &self.inner {
             None => TraceSnapshot::default(),
             Some(inner) => {
-                // The locked registry holds gauges plus any counters that
-                // overflowed the lock-free table; fold the table on top.
-                let mut registry = inner.state.lock().expect("trace lock").registry.clone();
-                inner.counters.fold_into(&mut registry);
                 let (events, recorded, abandoned) = inner.ring.collect();
                 TraceSnapshot {
                     events,
                     dropped: recorded.saturating_sub(inner.ring.capacity as u64) + abandoned,
                     recorded,
                     filtered: inner.filtered.load(Ordering::Relaxed),
-                    registry,
                 }
             }
         }
@@ -978,122 +721,6 @@ impl Tracer {
             out.push('\n');
         }
         out
-    }
-}
-
-/// Named monotonic counters and gauges.
-pub mod registry {
-    use std::collections::BTreeMap;
-
-    /// Registry of named monotonic counters (global and per-node) and
-    /// gauges. Deterministic iteration (BTreeMap) so exports are stable.
-    #[derive(Debug, Clone, Default, PartialEq)]
-    pub struct CounterRegistry {
-        counters: BTreeMap<&'static str, u64>,
-        node_counters: BTreeMap<(&'static str, usize), u64>,
-        gauges: BTreeMap<&'static str, f64>,
-    }
-
-    impl CounterRegistry {
-        /// An empty registry.
-        pub fn new() -> Self {
-            Self::default()
-        }
-
-        /// Add `n` to the global counter `name`.
-        pub fn add(&mut self, name: &'static str, n: u64) {
-            *self.counters.entry(name).or_insert(0) += n;
-        }
-
-        /// Add `n` to the per-node counter `name`.
-        pub fn add_node(&mut self, name: &'static str, node: usize, n: u64) {
-            *self.node_counters.entry((name, node)).or_insert(0) += n;
-        }
-
-        /// Set the gauge `name`.
-        pub fn gauge_set(&mut self, name: &'static str, value: f64) {
-            self.gauges.insert(name, value);
-        }
-
-        /// Raise the gauge `name` to `value` if larger.
-        pub fn gauge_max(&mut self, name: &'static str, value: f64) {
-            let g = self.gauges.entry(name).or_insert(value);
-            if value > *g {
-                *g = value;
-            }
-        }
-
-        /// Global counter value (0 when absent).
-        pub fn counter(&self, name: &str) -> u64 {
-            self.counters.get(name).copied().unwrap_or(0)
-        }
-
-        /// Per-node counter value (0 when absent).
-        pub fn node_counter(&self, name: &str, node: usize) -> u64 {
-            self.node_counters.get(&(name, node)).copied().unwrap_or(0)
-        }
-
-        /// Sum of the per-node counter `name` over all nodes.
-        pub fn node_total(&self, name: &str) -> u64 {
-            self.node_counters
-                .iter()
-                .filter(|((n, _), _)| *n == name)
-                .map(|(_, &v)| v)
-                .sum()
-        }
-
-        /// Gauge value (`None` when never set).
-        pub fn gauge(&self, name: &str) -> Option<f64> {
-            self.gauges.get(name).copied()
-        }
-
-        /// All global counters, name-sorted.
-        pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-            self.counters.iter().map(|(&k, &v)| (k, v))
-        }
-
-        /// All per-node counters, `(name, node)`-sorted.
-        pub fn node_counters(&self) -> impl Iterator<Item = (&'static str, usize, u64)> + '_ {
-            self.node_counters.iter().map(|(&(k, n), &v)| (k, n, v))
-        }
-
-        /// All gauges, name-sorted.
-        pub fn gauges(&self) -> impl Iterator<Item = (&'static str, f64)> + '_ {
-            self.gauges.iter().map(|(&k, &v)| (k, v))
-        }
-
-        /// True when nothing was ever recorded.
-        pub fn is_empty(&self) -> bool {
-            self.counters.is_empty() && self.node_counters.is_empty() && self.gauges.is_empty()
-        }
-
-        /// One JSON object with `counters`, `node_counters` (as
-        /// `"name/node"` keys) and `gauges` sub-objects.
-        pub fn to_json(&self) -> String {
-            let mut out = String::from("{\"counters\":{");
-            for (i, (k, v)) in self.counters.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("\"{k}\":{v}"));
-            }
-            out.push_str("},\"node_counters\":{");
-            for (i, ((k, node), v)) in self.node_counters.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("\"{k}/{node}\":{v}"));
-            }
-            out.push_str("},\"gauges\":{");
-            for (i, (k, v)) in self.gauges.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("\"{k}\":{}", super::fmt_f64(*v)));
-            }
-            out.push_str("}}");
-            out
-        }
     }
 }
 
@@ -1116,11 +743,9 @@ mod tests {
         let t = Tracer::disabled();
         assert!(!t.is_enabled());
         t.emit(at(1), Some(3), TraceKind::TaskAdmit, &[]);
-        t.count("x", 5);
         let snap = t.snapshot();
         assert!(snap.events.is_empty());
         assert_eq!(snap.recorded, 0);
-        assert_eq!(t.counter("x"), 0);
         assert!(t.export_jsonl().is_empty());
     }
 
@@ -1202,27 +827,6 @@ mod tests {
     }
 
     #[test]
-    fn registry_counts_and_gauges() {
-        let t = Tracer::bounded(4);
-        t.count("tasks", 2);
-        t.count("tasks", 3);
-        t.count_node("admitted", 4, 1);
-        t.count_node("admitted", 4, 1);
-        t.count_node("admitted", 9, 5);
-        t.gauge_max("hw", 3.0);
-        t.gauge_max("hw", 1.0); // lower: ignored
-        t.gauge_set("level", 0.5);
-        let reg = t.snapshot().registry;
-        assert_eq!(reg.counter("tasks"), 5);
-        assert_eq!(reg.counter("absent"), 0);
-        assert_eq!(reg.node_counter("admitted", 4), 2);
-        assert_eq!(reg.node_total("admitted"), 7);
-        assert_eq!(reg.gauge("hw"), Some(3.0));
-        assert_eq!(reg.gauge("level"), Some(0.5));
-        validate_json_line(&reg.to_json()).unwrap();
-    }
-
-    #[test]
     fn validator_accepts_and_rejects() {
         for good in [
             "{}",
@@ -1299,8 +903,6 @@ mod tests {
         let t = Tracer::bounded(8);
         let clone = t.clone();
         clone.emit(at(1), Some(0), TraceKind::TaskAdmit, &[]);
-        t.count("n", 1);
         assert_eq!(t.snapshot().events.len(), 1);
-        assert_eq!(clone.counter("n"), 1);
     }
 }

@@ -36,7 +36,8 @@
 #      the band being drained) must stay >= 1.2x it, and the
 #      tracing-overhead gate must hold — a run traced at Info severity
 #      (the live-exposition configuration) must keep >= 0.70x the
-#      untraced events/sec (one retry absorbs shared-runner noise)
+#      untraced events/sec (one retry absorbs shared-runner noise); the
+#      file must also carry the engine profile fields (queue_high_water)
 #   7. quickstart determinism: two runs, byte-identical stdout
 #   8. lossy-chaos smoke: 10% datagram loss + node strike + link jamming;
 #      asserts graceful degradation, determinism, and finite recovery
@@ -44,8 +45,8 @@
 #      asserts detection, re-homed checkpoints, landed evacuations and
 #      determinism, and emits results/failover_summary.csv
 #  10. trace smoke: traced Figure-5 cell -> results/trace_paper.jsonl;
-#      the subcommand itself validates every JSON line, re-proves
-#      tracing-on == tracing-off, and reconciles registry vs SimResult
+#      the subcommand itself validates every JSON line and re-proves
+#      tracing-on == tracing-off
 #  11. analyze smoke: a traced failover cell -> results/trace_failover.jsonl,
 #      piped through `experiments analyze`; the causal report must show
 #      a recovery critical path and zero lineage-incomplete admissions
@@ -196,6 +197,8 @@ if ! { run_bench_smoke && check_bench_gates; }; then
     run_bench_smoke
     check_bench_gates || { echo "bench gates failed twice: treat as a real regression" >&2; exit 1; }
 fi
+grep -q queue_high_water results/bench_smoke.json \
+    || { echo "bench_smoke.json lacks engine profile fields" >&2; exit 1; }
 
 say "quickstart determinism (two runs must be byte-identical)"
 a=$(mktemp); b=$(mktemp)
@@ -218,12 +221,10 @@ rm -f results/failover_summary.csv
 cargo run --release --offline -p experiments -- failover --smoke true
 test -s results/failover_summary.csv || { echo "failover_summary.csv missing or empty" >&2; exit 1; }
 
-say "trace smoke (structured event log must parse and reconcile)"
+say "trace smoke (structured event log must parse; tracing must not perturb the run)"
 rm -f results/trace_paper.jsonl
 cargo run --release --offline -p experiments -- trace --scenario paper --lambda 8 --horizon 300
 test -s results/trace_paper.jsonl || { echo "trace_paper.jsonl missing or empty" >&2; exit 1; }
-grep -q queue_high_water results/bench_smoke.json \
-    || { echo "bench_smoke.json lacks engine profile fields" >&2; exit 1; }
 
 say "analyze smoke (causal report over a traced failover cell)"
 rm -f results/trace_failover.jsonl
