@@ -43,11 +43,6 @@ impl Clock {
         Duration::from_secs_f64(d.as_secs_f64() / self.scale)
     }
 
-    /// Convert a wall duration into simulated time.
-    pub fn to_sim(&self, d: Duration) -> SimDuration {
-        SimDuration::from_secs_f64(d.as_secs_f64() * self.scale)
-    }
-
     /// Sleep (wall time) until the simulated instant `t`; returns
     /// immediately if `t` has passed.
     pub fn sleep_until(&self, t: SimTime) {
@@ -73,13 +68,12 @@ mod tests {
     }
 
     #[test]
-    fn conversions_round_trip() {
+    fn to_wall_divides_by_the_scale() {
         let c = Clock::start(100.0);
-        let sim = SimDuration::from_secs(5);
-        let wall = c.to_wall(sim);
-        assert_eq!(wall, Duration::from_millis(50));
-        let back = c.to_sim(wall);
-        assert!((back.as_secs_f64() - 5.0).abs() < 1e-9);
+        assert_eq!(
+            c.to_wall(SimDuration::from_secs(5)),
+            Duration::from_millis(50)
+        );
     }
 
     #[test]

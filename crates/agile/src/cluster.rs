@@ -100,6 +100,9 @@ pub struct HostExit {
     pub restarts: u64,
     /// Tasks admitted at this host on arrival ([`HostStats::admitted_local`]).
     pub admitted_local: u64,
+    /// Tasks admitted at this host after migrating from another
+    /// ([`HostStats::admitted_migrated`]).
+    pub admitted_migrated: u64,
     /// Interrupted tasks re-admitted here ([`HostStats::recovered_in`]).
     pub recovered_in: u64,
     /// Queued tasks interrupted by this host's deaths
@@ -876,6 +879,7 @@ impl Cluster {
                 status,
                 restarts: slot.restarts.load(Relaxed),
                 admitted_local: s.admitted_local.load(Relaxed),
+                admitted_migrated: s.admitted_migrated.load(Relaxed),
                 recovered_in: s.recovered_in.load(Relaxed),
                 interrupted: s.interrupted.load(Relaxed),
                 kills: s.kills.load(Relaxed),

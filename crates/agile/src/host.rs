@@ -41,9 +41,6 @@ use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// The multicast group carrying HELP floods (all hosts).
-pub const HELP_GROUP: usize = 0;
-
 /// Exit status: the host thread is still running.
 pub const EXIT_RUNNING: u8 = 0;
 /// Exit status: the host thread ended cleanly (`Stop`, or fenced off).
@@ -255,7 +252,7 @@ pub struct Host {
     pub cfg: HostConfig,
     /// The cluster clock.
     pub clock: Clock,
-    /// Datagram/multicast endpoint; its inbox also carries control messages.
+    /// Datagram/broadcast endpoint; its inbox also carries control messages.
     pub endpoint: Endpoint,
     /// Admission-negotiation server (codec bytes on the wire).
     pub admission_server: RequestServer<Vec<u8>, Vec<u8>>,
@@ -581,7 +578,7 @@ impl HostDriver {
         for action in actions.drain() {
             match action {
                 Action::Flood(msg) => {
-                    self.endpoint.multicast(HELP_GROUP, encode_message(&msg));
+                    self.endpoint.broadcast(encode_message(&msg));
                     self.stats.helps_sent.fetch_add(1, Ordering::Relaxed);
                 }
                 Action::Unicast(to, msg) => {

@@ -5,8 +5,8 @@
 //! components), built on in-process transports with the same delivery
 //! semantics as the paper's stack:
 //!
-//! * [`transport`] — UDP-like datagrams (PLEDGE), IP-multicast-like groups
-//!   (HELP), TCP-like reliable request channels (admission negotiation),
+//! * [`transport`] — UDP-like datagrams (PLEDGE), an IP-multicast-like
+//!   broadcast to every other host (HELP), TCP-like reliable request channels (admission negotiation),
 //!   with a seeded loss model and bounded, shed-on-full queues; each host
 //!   blocks on one inbox that carries its datagrams and control messages,
 //! * [`codec`] — the explicit binary wire format of discovery datagrams and

@@ -122,20 +122,6 @@ impl NameService {
     pub fn is_empty(&self) -> bool {
         self.table.read().expect("naming read lock").is_empty()
     }
-
-    /// Components currently bound to `host`.
-    pub fn components_at(&self, host: HostId) -> Vec<ComponentId> {
-        let mut v: Vec<ComponentId> = self
-            .table
-            .read()
-            .expect("naming read lock")
-            .iter()
-            .filter(|(_, b)| b.host == host)
-            .map(|(&id, _)| id)
-            .collect();
-        v.sort();
-        v
-    }
 }
 
 #[cfg(test)]
@@ -163,16 +149,6 @@ mod tests {
         assert_eq!(ns.lookup_versioned(ComponentId(1)), Some((5, 2)));
         assert!(ns.update(ComponentId(1), 9, 3));
         assert_eq!(ns.lookup(ComponentId(1)), Some(9));
-    }
-
-    #[test]
-    fn components_at_host() {
-        let ns = NameService::new();
-        ns.register(ComponentId(1), 0);
-        ns.register(ComponentId(2), 1);
-        ns.register(ComponentId(3), 0);
-        assert_eq!(ns.components_at(0), vec![ComponentId(1), ComponentId(3)]);
-        assert_eq!(ns.components_at(2), vec![]);
     }
 
     #[test]

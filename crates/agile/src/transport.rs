@@ -2,8 +2,9 @@
 //!
 //! * **datagram** (≈ UDP, used for PLEDGE): unordered with respect to other
 //!   senders, best-effort, optional loss,
-//! * **multicast group** (≈ IP multicast, used for HELP): one send fans out
-//!   to every current group member, best-effort, optional per-receiver loss,
+//! * **broadcast** (≈ IP multicast to the all-hosts group, used for HELP):
+//!   one send fans out to every other host, best-effort, optional
+//!   per-receiver loss,
 //! * **request channel** (≈ TCP, used for admission negotiation and
 //!   migration): reliable, connection-oriented, carries a typed request and
 //!   a oneshot reply.
@@ -94,8 +95,6 @@ struct Shared {
     /// every incarnation of the host, which is what makes shed-on-full
     /// events attributable to an observed depth after the fact.
     high_water: Vec<AtomicU64>,
-    /// Multicast membership per group id (all hosts in group 0 by default).
-    groups: Mutex<Vec<Vec<HostId>>>,
     quality: LinkQuality,
     channel_rng: Mutex<SimRng>,
     mailbox_capacity: usize,
@@ -119,8 +118,8 @@ pub struct Endpoint {
 }
 
 impl Network {
-    /// Create a network for `hosts` hosts, all members of multicast group 0.
-    /// Datagrams (unicast and multicast alike) are dropped independently
+    /// Create a network for `hosts` hosts. Datagrams (unicast and
+    /// broadcast alike) are dropped independently
     /// with `loss_probability`.
     ///
     /// Returns the network and one endpoint per host.
@@ -157,7 +156,6 @@ impl Network {
             shared: Arc::new(Shared {
                 inboxes: RwLock::new(inboxes),
                 high_water: (0..hosts).map(|_| AtomicU64::new(0)).collect(),
-                groups: Mutex::new(vec![(0..hosts).collect()]),
                 quality,
                 channel_rng: Mutex::new(SimRng::stream(seed, "channel")),
                 mailbox_capacity,
@@ -177,11 +175,6 @@ impl Network {
             })
             .collect();
         (network, endpoints)
-    }
-
-    /// Number of hosts.
-    pub fn host_count(&self) -> usize {
-        self.shared.inboxes.read().expect("inboxes lock").len()
     }
 
     /// Total datagrams dropped by the loss model so far.
@@ -248,15 +241,6 @@ impl Network {
         inboxes[host].tx.send(Inbound::Control(msg)).is_ok()
     }
 
-    /// Define (or redefine) multicast group `group`.
-    pub fn set_group(&self, group: usize, members: Vec<HostId>) {
-        let mut groups = self.shared.groups.lock().expect("groups lock");
-        if groups.len() <= group {
-            groups.resize(group + 1, Vec::new());
-        }
-        groups[group] = members;
-    }
-
     fn deliver(&self, from: HostId, to: HostId, payload: Vec<u8>) {
         let copies = if self.shared.quality.is_ideal() {
             1
@@ -317,16 +301,14 @@ impl Endpoint {
         self.network.deliver(self.host, to, payload);
     }
 
-    /// Best-effort multicast to group `group` (IP-multicast-like). The
-    /// sender does not receive its own transmission.
-    pub fn multicast(&self, group: usize, payload: Vec<u8>) {
-        let members = {
-            let groups = self.network.shared.groups.lock().expect("groups lock");
-            groups.get(group).cloned().unwrap_or_default()
-        };
-        for m in members {
-            if m != self.host {
-                self.network.deliver(self.host, m, payload.clone());
+    /// Best-effort send to every other host, in host-id order
+    /// (IP-multicast-like). The sender does not receive its own
+    /// transmission.
+    pub fn broadcast(&self, payload: Vec<u8>) {
+        // `high_water` has one slot per host for the network's lifetime.
+        for to in 0..self.network.shared.high_water.len() {
+            if to != self.host {
+                self.network.deliver(self.host, to, payload.clone());
             }
         }
     }
@@ -616,9 +598,9 @@ mod tests {
     }
 
     #[test]
-    fn multicast_reaches_group_except_sender() {
+    fn broadcast_reaches_every_host_except_sender() {
         let (_net, eps) = Network::new(4, 0.0, 1);
-        eps[1].multicast(0, b"m".to_vec());
+        eps[1].broadcast(b"m".to_vec());
         for (i, ep) in eps.iter().enumerate() {
             let got = ep.recv_timeout(Duration::from_millis(50));
             if i == 1 {
@@ -627,16 +609,6 @@ mod tests {
                 assert_eq!(datagram(got).from, 1);
             }
         }
-    }
-
-    #[test]
-    fn custom_groups() {
-        let (net, eps) = Network::new(4, 0.0, 1);
-        net.set_group(1, vec![0, 3]);
-        eps[0].multicast(1, b"g1".to_vec());
-        assert!(eps[3].recv_timeout(Duration::from_millis(50)).is_some());
-        assert!(eps[1].try_recv().is_none());
-        assert!(eps[2].try_recv().is_none());
     }
 
     #[test]

@@ -195,6 +195,10 @@ fn per_host_counts_sum_to_the_ledger_under_a_crash_wave() {
 
     let sum = |f: fn(&HostExit) -> u64| report.host_exits.iter().map(f).sum::<u64>();
     assert_eq!(sum(|e| e.admitted_local), report.admitted_local);
+    assert_eq!(
+        sum(|e| e.admitted_local + e.admitted_migrated),
+        report.admitted()
+    );
     assert_eq!(sum(|e| e.interrupted), report.interrupted);
     let mut planned = vec![0u64; hosts];
     for c in &plan.commands {

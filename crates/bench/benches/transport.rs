@@ -58,8 +58,8 @@ fn fabric(runner: &mut Runner) {
             urgency: 1.0,
             relay_ttl: 0,
         }));
-        group.bench_function("multicast_to_19", || {
-            eps[0].multicast(0, payload.clone());
+        group.bench_function("broadcast_to_19", || {
+            eps[0].broadcast(payload.clone());
             for ep in &eps[1..] {
                 ep.recv_timeout(Duration::from_millis(100)).unwrap();
             }

@@ -126,13 +126,6 @@ impl ProtocolConfig {
         self
     }
 
-    /// Builder-style setter for the pure-push period.
-    pub fn with_push_interval(mut self, v: SimDuration) -> Self {
-        assert!(!v.is_zero());
-        self.push_interval = v;
-        self
-    }
-
     /// Builder-style setter for the candidate policy.
     pub fn with_candidate_policy(mut self, v: CandidatePolicy) -> Self {
         self.candidate_policy = v;

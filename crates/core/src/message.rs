@@ -78,15 +78,6 @@ pub enum Message {
 }
 
 impl Message {
-    /// Short wire-type name (used in traces and ledgers).
-    pub fn type_name(&self) -> &'static str {
-        match self {
-            Message::Help(_) => "HELP",
-            Message::Pledge(_) => "PLEDGE",
-            Message::Advert(_) => "ADVERT",
-        }
-    }
-
     /// The node the message claims to originate from.
     pub fn origin(&self) -> NodeId {
         match self {
@@ -102,7 +93,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn type_names_and_origins() {
+    fn origins_name_the_sender() {
         let h = Message::Help(Help {
             organizer: 3,
             member_count: 7,
@@ -121,9 +112,6 @@ mod tests {
             headroom_secs: 10.0,
             sent_at: SimTime::ZERO,
         });
-        assert_eq!(h.type_name(), "HELP");
-        assert_eq!(p.type_name(), "PLEDGE");
-        assert_eq!(a.type_name(), "ADVERT");
         assert_eq!(h.origin(), 3);
         assert_eq!(p.origin(), 4);
         assert_eq!(a.origin(), 5);

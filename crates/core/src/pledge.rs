@@ -198,19 +198,6 @@ impl AvailabilityStore {
         self.reports.is_empty()
     }
 
-    /// Does the store currently know a node that could absorb `need_secs`?
-    /// Used for the paper's "if a node is found for migration" reward test.
-    pub fn has_candidate(
-        &self,
-        now: SimTime,
-        need_secs: f64,
-        ttl: Option<SimDuration>,
-        exclude: NodeId,
-    ) -> bool {
-        self.iter_fresh(now, ttl)
-            .any(|(n, r)| n != exclude && r.headroom_secs >= need_secs)
-    }
-
     /// Pick the best migration destination under `policy`.
     ///
     /// Only nodes whose report claims enough headroom for `need_secs`
@@ -260,12 +247,6 @@ impl AvailabilityStore {
             Some(ttl) if now.since(r.at) > ttl => None,
             _ => Some((n, r)),
         })
-    }
-
-    /// Drop reports older than `ttl` (housekeeping; optional since lookups
-    /// already filter by freshness).
-    pub fn evict_stale(&mut self, now: SimTime, ttl: SimDuration) {
-        self.reports.retain(|_, r| now.since(r.at) <= ttl);
     }
 }
 
@@ -350,8 +331,10 @@ mod tests {
             None,
             "only node 1 fits but it is excluded"
         );
-        assert!(s.has_candidate(t, 10.0, None, 99));
-        assert!(!s.has_candidate(t, 10.0, None, 1));
+        assert_eq!(
+            s.pick(t, 10.0, None, 99, CandidatePolicy::MostHeadroom),
+            Some(1)
+        );
     }
 
     #[test]
@@ -401,17 +384,6 @@ mod tests {
             s.pick(t, 10.0, None, usize::MAX, CandidatePolicy::FirstFit),
             Some(4)
         );
-    }
-
-    #[test]
-    fn evict_stale_removes_entries() {
-        let mut s = AvailabilityStore::new();
-        s.record(1, 1.0, SimTime::from_secs(0));
-        s.record(2, 1.0, SimTime::from_secs(50));
-        s.evict_stale(SimTime::from_secs(60), SimDuration::from_secs(30));
-        assert_eq!(s.len(), 1);
-        assert!(s.get(1).is_none());
-        assert!(s.get(2).is_some());
     }
 
     #[test]

@@ -41,16 +41,6 @@ pub struct ResourceVector {
 }
 
 impl ResourceVector {
-    /// An offer/demand with only the CPU dimension set (the paper's main
-    /// experiments).
-    pub fn cpu_only(cpu_secs: f64) -> Self {
-        ResourceVector {
-            cpu_secs,
-            bandwidth_mbps: 0.0,
-            security: SecurityLevel::Open,
-        }
-    }
-
     /// Does this offer satisfy `demand` in every dimension?
     pub fn satisfies(&self, demand: &ResourceVector) -> bool {
         self.cpu_secs >= demand.cpu_secs

@@ -1,7 +1,7 @@
 //! Chaos churn experiment (A16) — survivability under *continuous* node
 //! replacement rather than a single scripted strike.
 //!
-//! A [`ChurnProcess`] replaces a fraction of the population every interval
+//! A [`ChurnProcess`](realtor_workload::ChurnProcess) replaces a fraction of the population every interval
 //! inside a churn window: each wave kills fresh victims (drawn from a
 //! dedicated seed-split RNG stream) and amnesiac-restores the previous
 //! wave's. The sweep crosses churn rate × failure-detector timeout ×

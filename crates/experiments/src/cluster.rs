@@ -360,7 +360,7 @@ fn drive(
     for e in &report.host_exits {
         per_host.push_row(vec![
             Cell::Int(e.host as i64),
-            Cell::Int(e.admitted_local as i64),
+            Cell::Int((e.admitted_local + e.admitted_migrated) as i64),
             Cell::Int(e.recovered_in as i64),
             Cell::Int(e.interrupted as i64),
             Cell::Int(e.kills as i64),

@@ -22,7 +22,7 @@ fn main_grid(lambdas: &[f64], seed: u64) -> SweepGrid {
 }
 
 /// Run the paired λ sweep shared by Figures 5–8 on `jobs` workers; the
-/// results are in [`main_grid`] order.
+/// results are in grid order: protocol-major, every protocol at every λ.
 pub fn run_main_sweep(
     lambdas: &[f64],
     horizon_secs: u64,

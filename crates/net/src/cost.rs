@@ -126,11 +126,6 @@ impl CostModel {
         self.mean_path
     }
 
-    /// The unicast charging mode.
-    pub fn unicast_mode(&self) -> UnicastCharge {
-        self.unicast
-    }
-
     /// The flood charging mode.
     pub fn flood_mode(&self) -> FloodCharge {
         self.flood

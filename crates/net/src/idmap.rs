@@ -182,20 +182,6 @@ impl<T: Vacancy> IdMap<T> {
         self.slots.iter().filter(|v| !v.is_vacant())
     }
 
-    /// Keep only the entries for which `keep` returns true; returns how
-    /// many were removed.
-    pub fn retain(&mut self, mut keep: impl FnMut(NodeId, &mut T) -> bool) -> usize {
-        let mut removed = 0;
-        for (id, slot) in self.slots.iter_mut().enumerate() {
-            if !slot.is_vacant() && !keep(id, slot) {
-                *slot = T::VACANT;
-                removed += 1;
-            }
-        }
-        self.len -= removed;
-        removed
-    }
-
     /// Drop every entry (keeps the allocation).
     pub fn clear(&mut self) {
         self.slots.fill_with(|| T::VACANT);
@@ -303,16 +289,12 @@ mod tests {
     }
 
     #[test]
-    fn retain_reports_removed_count_and_fixes_len() {
+    fn clear_empties_the_map() {
         let mut m = IdMap::new();
         for id in 0..10 {
             m.insert(id, t(id as u64));
         }
-        let removed = m.retain(|id, _| id % 2 == 0);
-        assert_eq!(removed, 5);
-        assert_eq!(m.len(), 5);
-        assert_eq!(m.get(4), Some(&t(4)));
-        assert_eq!(m.get(5), None);
+        assert_eq!(m.len(), 10);
         m.clear();
         assert!(m.is_empty());
         assert_eq!(m.iter().count(), 0);

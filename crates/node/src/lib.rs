@@ -2,13 +2,9 @@
 //!
 //! The per-host substrate beneath the discovery protocols:
 //!
-//! * [`task`] — tasks with sizes, deadlines and priorities (and the paper's
-//!   timer-style migratable state),
 //! * [`queue`] — the fluid bounded work queue of the Section-5 simulation
-//!   ("a single queue of 100 seconds"), with exact threshold-crossing times,
-//! * [`scheduler`] — static-priority + EDF dispatch and the Constant
-//!   Utilization Server of the Agile Objects runtime,
-//! * [`admission`] — utilization-test and queue-test admission control,
+//!   ("a single queue of 100 seconds"), with exact threshold-crossing times;
+//!   both the simulator and the Agile Objects host admit through it,
 //! * [`monitor`] — debounced usage monitoring with watermarks,
 //! * [`recovery`] — per-task shadow log over the fluid queue, enabling
 //!   crash recovery and evacuation,
@@ -17,18 +13,12 @@
 
 #![warn(missing_docs)]
 
-pub mod admission;
 pub mod monitor;
 pub mod queue;
 pub mod recovery;
 pub mod rt;
-pub mod scheduler;
-pub mod task;
 
-pub use admission::{AdmissionDecision, QueueAdmission, UtilizationAdmission};
 pub use monitor::{ResourceMonitor, UsageEvent};
 pub use queue::{AdmitError, WorkQueue};
 pub use recovery::{KillSplit, TaskEntry, TaskLog};
 pub use rt::{DispatchPolicy, PeriodicTask, RtReport};
-pub use scheduler::{ConstantUtilizationServer, EdfScheduler};
-pub use task::{Priority, Task, TaskId, TaskIdGen};

@@ -1,15 +1,14 @@
 //! Real-time schedulability simulation — validates the paper's §3 claim
-//! that guaranteed-rate scheduling (EDF over Constant-Utilization-Server
-//! style reservations) is what makes migration-time admission a "simple
+//! that guaranteed-rate scheduling (EDF over per-component rate
+//! reservations) is what makes migration-time admission a "simple
 //! utilization test".
 //!
 //! [`simulate_periodic`] runs a single-CPU preemptive-EDF or FIFO
 //! simulation of a periodic task set (implicit deadlines) and reports
 //! deadline misses. Under preemptive EDF a task set is schedulable iff its
-//! total utilization is ≤ 1 (Liu & Layland), so the utilization-test
-//! admission controller of [`crate::admission`] is exact for EDF hosts —
-//! the property the experiments' `deadlines` ablation demonstrates against
-//! a FIFO strawman.
+//! total utilization is ≤ 1 (Liu & Layland), so admitting while the total
+//! utilization stays ≤ 1 is exact for EDF hosts — the property the
+//! experiments' `deadlines` ablation demonstrates against a FIFO strawman.
 
 use realtor_simcore::{SimDuration, SimTime};
 
@@ -47,13 +46,6 @@ pub struct RtReport {
     pub completed: u64,
     /// Completed jobs that missed their deadline.
     pub missed: u64,
-}
-
-impl RtReport {
-    /// Fraction of completed jobs that missed their deadlines.
-    pub fn miss_ratio(&self) -> f64 {
-        realtor_simcore::stats::ratio(self.missed, self.completed)
-    }
 }
 
 #[derive(Debug, Clone, Copy)]

@@ -1,10 +1,7 @@
 //! Property-based tests for the host model, on the in-tree `check`
 //! harness.
 
-use realtor_node::{
-    ConstantUtilizationServer, EdfScheduler, Priority, Task, TaskId, UtilizationAdmission,
-    WorkQueue,
-};
+use realtor_node::WorkQueue;
 use realtor_simcore::prelude::*;
 use realtor_simcore::{prop_assert, prop_assert_eq};
 
@@ -107,108 +104,6 @@ fn queue_drain_time_exact() {
                 }
                 None => prop_assert!(fill <= level),
             }
-            Ok(())
-        },
-    );
-}
-
-/// EDF dispatch order is total and respects (priority, deadline, id)
-/// lexicographic order.
-#[test]
-fn edf_dispatch_is_sorted() {
-    forall(
-        "edf_dispatch_is_sorted",
-        0x40DE04,
-        256,
-        |r| {
-            gen::vec(r, 1, 100, |r| {
-                (
-                    gen::u8_in(r, 0, 4),
-                    gen::u64_in(r, 1, 1000),
-                    gen::u64_in(r, 0, 10_000),
-                )
-            })
-        },
-        |tasks| {
-            let mut s = EdfScheduler::new();
-            for (i, &(prio, dl, _)) in tasks.iter().enumerate() {
-                s.enqueue(Task::real_time(
-                    TaskId(i as u64),
-                    1.0,
-                    SimTime::ZERO,
-                    SimTime::from_secs(dl),
-                    Priority(prio),
-                ));
-            }
-            let mut prev: Option<(u8, SimTime, u64)> = None;
-            while let Some(t) = s.dispatch() {
-                let key = (t.priority.0, t.deadline.unwrap(), t.id.0);
-                if let Some(p) = prev {
-                    prop_assert!(p <= key, "dispatch order violated: {p:?} then {key:?}");
-                }
-                prev = Some(key);
-            }
-            Ok(())
-        },
-    );
-}
-
-/// CUS deadlines are non-decreasing and never allocate beyond the rate:
-/// total demand assigned by deadline d is at most U * d when the server
-/// is busy from time zero.
-#[test]
-fn cus_rate_bound() {
-    forall(
-        "cus_rate_bound",
-        0x40DE05,
-        256,
-        |r| {
-            (
-                gen::f64_in(r, 0.05, 1.0),
-                gen::vec(r, 1, 80, |r| gen::f64_in(r, 0.01, 5.0)),
-            )
-        },
-        |(u, demands)| {
-            let u = *u;
-            let mut cus = ConstantUtilizationServer::new(u);
-            let mut total = 0.0;
-            let mut prev = SimTime::ZERO;
-            for &e in demands {
-                let d = cus.assign_deadline(SimTime::ZERO, e);
-                prop_assert!(d >= prev, "deadlines must be monotone");
-                total += e;
-                prop_assert!(total <= u * d.as_secs_f64() + 1e-6, "rate bound violated");
-                prev = d;
-            }
-            Ok(())
-        },
-    );
-}
-
-/// Utilization admission never over-allocates and release restores the
-/// exact share.
-#[test]
-fn utilization_admission_conserves() {
-    forall(
-        "utilization_admission_conserves",
-        0x40DE06,
-        256,
-        |r| gen::vec(r, 1, 60, |r| gen::f64_in(r, 0.01, 0.6)),
-        |shares| {
-            let mut ac = UtilizationAdmission::new(1.0);
-            let mut admitted = Vec::new();
-            for (i, &s) in shares.iter().enumerate() {
-                if ac.try_reserve(TaskId(i as u64), s) == realtor_node::AdmissionDecision::Admitted
-                {
-                    admitted.push((TaskId(i as u64), s));
-                }
-                prop_assert!(ac.allocated() <= 1.0 + 1e-9);
-            }
-            for &(id, _) in &admitted {
-                ac.release(id);
-            }
-            prop_assert!(ac.allocated().abs() < 1e-9);
-            prop_assert_eq!(ac.reservation_count(), 0);
             Ok(())
         },
     );

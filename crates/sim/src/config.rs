@@ -91,12 +91,6 @@ impl RecoveryConfig {
         self
     }
 
-    /// Builder-style: recovery retry budget.
-    pub fn with_recovery_tries(mut self, v: u32) -> Self {
-        self.recovery_tries = v;
-        self
-    }
-
     /// Validate field ranges.
     pub fn validate(&self) {
         assert!(
@@ -346,14 +340,6 @@ impl Scenario {
     /// Builder-style: replace the full channel model.
     pub fn with_channel_model(mut self, channel: ChannelModel) -> Self {
         self.channel = channel;
-        self
-    }
-
-    /// Builder-style: negotiation timeout and retry budget.
-    pub fn with_negotiation(mut self, timeout: SimDuration, retries: u32) -> Self {
-        assert!(!timeout.is_zero(), "negotiation timeout must be positive");
-        self.negotiation_timeout = timeout;
-        self.negotiation_retries = retries;
         self
     }
 

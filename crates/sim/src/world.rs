@@ -1876,9 +1876,9 @@ pub struct RunProfile {
     pub events_processed: u64,
     /// Deepest the event queue ever got.
     pub queue_high_water: u64,
-    /// Wall nanoseconds of each [`PROFILE_CHUNK_EVENTS`]-event chunk of
-    /// the main loop, as a mergeable histogram: the tail (p99/p999)
-    /// exposes latency spikes that the aggregate events/sec hides.
+    /// Wall nanoseconds of each 4096-event chunk of the main loop, as a
+    /// mergeable histogram: the tail (p99/p999) exposes latency spikes
+    /// that the aggregate events/sec hides.
     pub chunk_nanos: LogHistogram,
 }
 

@@ -10,9 +10,9 @@
 //! `header ++ chunk[0] ++ chunk[1] ++ …` exactly — including the header row
 //! and each chunk's own trailing newline (the merge inserts nothing).
 //!
-//! Byte-identity with the serial writers ([`Table::to_csv`]
-//! (crate::table::Table::to_csv), JSONL line joins) is pinned by the tests
-//! below and re-checked live by the experiment drivers.
+//! Byte-identity with the serial writers
+//! ([`Table::to_csv`](crate::table::Table::to_csv), JSONL line joins) is
+//! pinned by the tests below and re-checked live by the experiment drivers.
 
 use std::collections::BTreeMap;
 

@@ -14,7 +14,7 @@
 //! | [`simcore`] | `realtor-simcore` | discrete-event engine, virtual time, RNG, statistics |
 //! | [`net`] | `realtor-net` | topologies, routing, message-cost model, fault injection |
 //! | [`core`] | `realtor-core` | REALTOR + baselines, Algorithms H and P, communities |
-//! | [`node`] | `realtor-node` | tasks, work queues, EDF/CUS scheduling, admission |
+//! | [`node`] | `realtor-node` | bounded work queue, usage monitor, shadow task log, EDF/FIFO schedulability |
 //! | [`workload`] | `realtor-workload` | arrival processes, size distributions, traces, attacks |
 //! | [`sim`] | `realtor-sim` | the Section-5 simulation harness and the Figure 5–8 tables |
 //! | [`runner`] | `realtor-runner` | deterministic parallel sweep runner (grids, CI-width replication) |
